@@ -9,11 +9,12 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from ._version import __version__
-from .dynamics import IntegrationError
+from .dynamics import IntegrationError, TimeGrid, evolve_unitary
 from .observables import husimi_q, save_husimi, save_size_series
 from .scenarios import (
     ScenarioConfig,
@@ -30,7 +31,6 @@ from .scenarios import (
     write_manifest,
 )
 from .spin import coherent_state, spin_operators
-from .dynamics import TimeGrid, evolve_unitary
 from .hamiltonian import effective_oat_strength
 
 _TWO_PI = 2 * np.pi
@@ -50,8 +50,6 @@ def _load_config(args) -> ScenarioConfig:
     if args.out:
         updates["output_dir"] = args.out
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg
 
@@ -235,6 +233,8 @@ def _cmd_husimi(cfg, args) -> int:
     t0 = time.time()
     spin = cfg.spin
     omega = effective_oat_strength(cfg.quad, spin)
+    if omega == 0:
+        raise ValueError("effective twisting strength is zero; no OAT dynamics")
     t = args.time_fraction * np.pi / abs(omega)
     ops = spin_operators(spin)
     h = omega * (ops.Iz @ ops.Iz)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -214,15 +213,6 @@ def _zeeman_corotate(psi: np.ndarray, spin: SpinQuantum, gamma_b0: float, t: flo
     return np.exp(1j * gamma_b0 * t * spin.m_values) * psi
 
 
-def _parallel_map(fn, items):
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = min(len(items), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -297,7 +287,7 @@ def _protocol_final_state(cfg, sched: PulseSchedule, ladder, psi0) -> np.ndarray
         gamma_b1 = cfg.fields.gamma_b1
 
         def h_of_t(t):
-            return h_static + gamma_b1 * sched.envelope(t) * axis_op
+            return h_static + np.multiply.outer(gamma_b1 * sched.envelope(t), axis_op)
 
         dt = cfg.dt or LAB_FRAME_DT
         grid = TimeGrid(0.0, sched.t_end, dt=dt, output_stride=10 ** 9)
@@ -449,8 +439,7 @@ def decoherence_sweep(
     if gamma_e_list is None:
         gamma_e_list = [cfg.decoherence.gamma_e]
     combos = list(itertools.product(gamma_m_list, gamma_e_list))
-    results = _parallel_map(lambda ge: _decoherence_single(cfg, *ge), combos)
-    return results
+    return [_decoherence_single(cfg, gm, ge) for gm, ge in combos]
 
 
 def _decoherence_single(cfg: ScenarioConfig, gamma_m: float, gamma_e: float) -> SweepResult:
@@ -578,7 +567,7 @@ def tact_oat_comparison(
     ]
     if include_corner:
         cases.append((0.0, 0.0, (0.0, np.pi / 2, 0.0), "z"))
-    return _parallel_map(lambda c: _tact_single(cfg, *c, with_husimi=with_husimi), cases)
+    return [_tact_single(cfg, *c, with_husimi=with_husimi) for c in cases]
 
 
 def _tact_single(
@@ -657,7 +646,7 @@ def multitone_lab_validation(
     gamma_b1 = fields.gamma_b1
 
     def h_of_t(t):
-        return h_static + gamma_b1 * seg.envelope(t) * axis_op
+        return h_static + np.multiply.outer(gamma_b1 * seg.envelope(t), axis_op)
 
     grid = TimeGrid(0.0, t_half, dt=dt, output_stride=10 ** 9)
     psi0 = eigenstate(spin, spin.i)

@@ -185,10 +185,16 @@ def rotation_operator(spin: SpinQuantum, axis, angle: float) -> np.ndarray:
     return _frozen(scipy.linalg.expm(-1j * angle * generator))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """Check Hermiticity to relative Frobenius-norm tolerance."""
-    scale = max(np.linalg.norm(a), 1.0)
-    return np.linalg.norm(a - a.conj().T) <= tol * scale
+def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL):
+    """Check Hermiticity to relative Frobenius-norm tolerance.
+
+    A (d, d) matrix gives one bool; a stack of shape (..., d, d) gives a
+    boolean array with one verdict per matrix.
+    """
+    a = np.asarray(a)
+    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
+    ok = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def check_pure_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:

@@ -67,3 +67,18 @@ def test_husimi_command(tmp_path, capsys):
     assert rc == 0
     assert "sphere integral" in capsys.readouterr().out
     assert (tmp_path / "husimi_f0.5.csv").exists()
+
+
+def test_lab_check_rejects_nan_dt(capsys):
+    rc = main(["lab-check", "--dt", "nan"])
+    assert rc == 2
+    assert "dt must be finite" in capsys.readouterr().err
+
+
+def test_husimi_without_twisting_is_a_diagnostic_exit(tmp_path, capsys):
+    # at 2I = 1 the Iz^2 term is a constant: there is no twisting to plot
+    path = tmp_path / "spin_half.json"
+    path.write_text(json.dumps({"spin": {"twice_i": 1}}))
+    rc = main(["husimi", "--config", str(path)])
+    assert rc == 2
+    assert "effective twisting strength is zero" in capsys.readouterr().err

@@ -1,15 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spincat.control import PulseSegment, ToneSpec, rotation_params
 from spincat.dynamics import (
     DecoherenceSpec,
     TimeGrid,
+    _chunk_steps,
     evolve_lindblad,
     evolve_unitary,
     propagator,
     reference_final_state,
 )
+from spincat.hamiltonian import FieldSpec, QuadrupoleSpec, energy_ladder, static_hamiltonian
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
 TWO_PI = 2 * np.pi
@@ -29,6 +34,14 @@ def test_time_grid_validation():
         TimeGrid(1.0, 1.0, dt=1e-3)
     with pytest.raises(ValueError):
         TimeGrid(0.0, 1.0, dt=1e-3, output_stride=0)
+    for field, kwargs in (
+        ("dt", dict(dt=np.nan)),
+        ("dt", dict(dt=np.inf)),
+        ("t_start", dict(t_start=np.nan)),
+        ("t_end", dict(t_end=np.inf)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TimeGrid(**{"t_start": 0.0, "t_end": 1.0, "dt": 1e-3, **kwargs})
     grid = TimeGrid(0.0, 1.0, dt=0.3)
     assert grid.n_steps == 4
     assert grid.step == pytest.approx(0.25)
@@ -105,7 +118,7 @@ def test_unitary_self_convergence_time_dependent():
     drive = TWO_PI * 50e3
 
     def h_of_t(t):
-        return h0 + drive * np.cos(GB0 * t) * ops.Ix
+        return h0 + np.multiply.outer(drive * np.cos(GB0 * t), ops.Ix)
 
     psi0 = eigenstate(spin, 1.5)
     t_end = 2e-6
@@ -119,7 +132,9 @@ def test_unitary_reference_oracle_agreement():
     ops = spin_operators(spin)
 
     def h_of_t(t):
-        return GB0 * np.asarray(ops.Iz) + TWO_PI * 100e3 * np.cos(GB0 * t) * ops.Ix
+        return GB0 * np.asarray(ops.Iz) + np.multiply.outer(
+            TWO_PI * 100e3 * np.cos(GB0 * t), ops.Ix
+        )
 
     psi0 = eigenstate(spin, 1.5)
     grid = TimeGrid(0.0, 1e-6, dt=1e-9, output_stride=10 ** 9)
@@ -132,7 +147,77 @@ def test_unitary_rejects_non_hermitian_callable():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
-        evolve_unitary(lambda t: bad, psi0, TimeGrid(0.0, 1.0, dt=0.5))
+        evolve_unitary(
+            lambda t: np.broadcast_to(bad, (t.size, 2, 2)), psi0, TimeGrid(0.0, 1.0, dt=0.5)
+        )
+
+
+def lab_check_hamiltonian(twice_i=7, scale=25.0):
+    """The lab-check drive: paper fields with gamma*B1 and omega_q scaled
+    together, one equal-amplitude tone per transition, driven along y."""
+    spin = SpinQuantum(twice_i)
+    fields = FieldSpec(gamma_b0=GB0, gamma_b1=TWO_PI * 800.0 * scale)
+    h_static = static_hamiltonian(fields, QuadrupoleSpec(omega_q=WQ * scale), spin)
+    ladder = energy_ladder(h_static, spin)
+    t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
+    seg = PulseSegment(
+        tones=tuple(ToneSpec(float(w), 1.0 / twice_i, 0.0) for w in ladder.transition_freqs),
+        t_start=0.0,
+        t_end=t_half,
+    )
+    axis_op = np.asarray(spin_operators(spin).Iy)
+
+    def h_of_t(t):
+        return h_static + np.multiply.outer(fields.gamma_b1 * seg.envelope(t), axis_op)
+
+    return spin, h_of_t
+
+
+def test_chunked_unitary_matches_per_step_oracle():
+    # reference_final_state(refine=1) is the same midpoint rule with one
+    # scipy expm per step; the chunked eigh path must reproduce it
+    spin, h_of_t = lab_check_hamiltonian()
+    n_steps, stride = 20003, 1000
+    chunk = _chunk_steps(spin.dimension)
+    assert n_steps % chunk and stride % chunk
+    grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
+    assert grid.n_steps == n_steps
+    psi0 = eigenstate(spin, spin.i)
+    traj = evolve_unitary(h_of_t, psi0, grid, frame="lab")
+    oracle = reference_final_state(h_of_t, psi0, grid, refine=1)
+    assert np.linalg.norm(traj.final_state - oracle) <= 1e-10
+    # per-step expm drifts ~3e-14 here; eigh without the unitary correction
+    # drifts 1.6e-12, which moves printed lab-check infidelities
+    assert abs(np.linalg.norm(traj.final_state) - 1.0) <= 3e-13
+    expected = [grid.t_start + j * stride * grid.step for j in range(n_steps // stride + 1)]
+    expected.append(grid.t_start + n_steps * grid.step)
+    assert traj.times.tolist() == expected
+
+
+def test_unitary_rejects_wrong_callable_shape():
+    spin, h_of_t = lab_check_hamiltonian()
+    psi0 = eigenstate(spin, spin.i)
+    grid = TimeGrid(0.0, 1e-6, dt=1e-9)
+    with pytest.raises(ValueError, match=re.escape("shape (256, 8, 8)")):
+        evolve_unitary(lambda t: h_of_t(t[:1])[0], psi0, grid)
+
+
+def test_unitary_names_first_non_hermitian_midpoint():
+    spin, h_of_t = lab_check_hamiltonian()
+    chunk = _chunk_steps(spin.dimension)
+    grid = TimeGrid(0.0, 3 * chunk * 1e-9, dt=1e-9)
+    k_bad = chunk + 37  # in the second chunk
+    t_bad = grid.t_start + (k_bad + 0.5) * grid.step
+    skew = np.zeros((spin.dimension, spin.dimension))
+    skew[0, 1] = 1e3
+
+    def h_bad(t):
+        h = h_of_t(t)
+        h[t >= t_bad] += skew
+        return h
+
+    with pytest.raises(ValueError, match=re.escape(f"not Hermitian at t = {t_bad}")):
+        evolve_unitary(h_bad, eigenstate(spin, spin.i), grid)
 
 
 def test_lindblad_closed_system_matches_unitary():

@@ -11,6 +11,7 @@ from spincat.spin import (
     coherent_state,
     eigenstate,
     fidelity,
+    is_hermitian,
     rotation_operator,
     spin_operators,
 )
@@ -231,3 +232,14 @@ def test_state_validation():
         check_density_matrix(np.diag([0.9, 0.3, -0.2, 0.0]))
     with pytest.raises(ValueError):
         check_density_matrix(np.diag([0.7, 0.7, 0.0, 0.0]))
+
+
+def test_is_hermitian_stack_gives_one_verdict_per_matrix():
+    ops = spin_operators(SpinQuantum(3))
+    skew = np.zeros((4, 4))
+    skew[0, 1] = 1e-9  # relative Frobenius error ~1e-10, above the 1e-12 rule
+    stack = np.array([ops.Ix, ops.Iy + skew, ops.Iz, ops.Iz + 1e-14 * skew])
+    verdicts = is_hermitian(stack)
+    assert verdicts.tolist() == [True, False, True, True]
+    assert verdicts.tolist() == [is_hermitian(m) for m in stack]
+    assert is_hermitian(stack.reshape(2, 2, 4, 4)).shape == (2, 2)
