@@ -259,7 +259,8 @@ def _cmd_husimi(cfg, args) -> int:
 
 def _cmd_lab_check(cfg, args) -> int:
     t0 = time.time()
-    result = multitone_lab_validation(cfg, scale=args.scale, dt=args.dt or 1e-9)
+    dt = 1e-9 if args.dt is None else args.dt
+    result = multitone_lab_validation(cfg, scale=args.scale, dt=dt)
     print(
         f"lab-check: scale = {result.scale:g}, {result.n_steps} steps of "
         f"{result.dt * 1e9:.3f} ns; infidelity vs rotating-frame model = "

@@ -4,13 +4,14 @@ Unitary dynamics use a piecewise-constant midpoint rule: each step applies
 exp(-i H(t_mid) dt).  A constant H is exponentiated once; a time-dependent H
 is built, checked and exponentiated (by one batched Hermitian eigensolve)
 for a chunk of consecutive step midpoints at a time.  Open dynamics use
-classical RK4 on the Lindblad right-hand side with the Hamiltonian held at
-its mid-step value.  Both integrators are deterministic and validate their
-conservation laws (norm, trace, positivity) as they run.
+classical RK4 on the Lindblad right-hand side with a constant Hamiltonian.
+Both integrators are deterministic and validate their conservation laws
+(norm, trace, positivity) as they run.
 
-A Hamiltonian source is either a constant (d, d) matrix or a callable that
-maps a 1-D array of k midpoint times to a (k, d, d) stack of matrices, one
-per time; any other shape is rejected.
+A unitary Hamiltonian source is either a constant (d, d) matrix or a
+callable that maps a 1-D array of k midpoint times to a (k, d, d) stack of
+matrices, one per time; any other shape is rejected.  The Lindblad
+integrator takes only a constant (d, d) matrix.
 """
 
 from __future__ import annotations
@@ -231,17 +232,21 @@ def _lindblad_rhs(h, rho, jumps):
 
 
 def evolve_lindblad(
-    h_of_t, rho0, dec: DecoherenceSpec, grid: TimeGrid, frame: str = "effective"
+    h, rho0, dec: DecoherenceSpec, grid: TimeGrid, frame: str = "effective"
 ) -> Trajectory:
     """Integrate the Lindblad master equation with dephasing jump operators
     L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e).
 
-    RK4 with the Hamiltonian held piecewise-constant at each step midpoint.
-    Sampled states are symmetrized; trace drift beyond 1e-8 or an eigenvalue
-    below -1e-7 aborts with a step-size diagnostic.
+    RK4 with the constant (d, d) Hamiltonian ``h``.  Sampled states are
+    symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7 aborts
+    with a step-size diagnostic.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     d = rho.shape[0]
+    if np.shape(h) != (d, d):
+        got = "a callable" if callable(h) else f"shape {np.shape(h)}"
+        raise ValueError(f"h must be a constant array of shape {(d, d)}, got {got}")
+    h = np.asarray(h, dtype=complex)
     m = (d - 1 - 2 * np.arange(d)) / 2  # m ladder inferred from dimension
     jumps = []
     if dec.gamma_m > 0:
@@ -251,8 +256,6 @@ def evolve_lindblad(
         l_e = np.diag(m ** 2).astype(complex)
         jumps.append((dec.gamma_e, l_e, l_e @ l_e))
 
-    constant = not callable(h_of_t)
-    h_const = np.asarray(h_of_t, dtype=complex) if constant else None
     dt = grid.step
     n = grid.n_steps
 
@@ -277,10 +280,6 @@ def evolve_lindblad(
         return rho  # integration continues on the unsymmetrized state
 
     for k in range(n):
-        if constant:
-            h = h_const
-        else:
-            h = _hamiltonian_stack(h_of_t, np.array([grid.t_start + (k + 0.5) * dt]), d)[0]
         k1 = _lindblad_rhs(h, rho, jumps)
         k2 = _lindblad_rhs(h, rho + 0.5 * dt * k1, jumps)
         k3 = _lindblad_rhs(h, rho + 0.5 * dt * k2, jumps)
@@ -295,21 +294,24 @@ def evolve_lindblad(
 def reference_final_state(h_of_t, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:
     """Dense brute-force unitary oracle: plain midpoint stepping at dt/refine.
 
-    Serves as the independent check on production runs; it never takes the
-    constant-Hamiltonian shortcut or the chunked path, and returns only the
-    final state.  A callable ``h_of_t`` is called once per step with a
-    length-1 array of the midpoint time.
+    Serves as the independent check on production runs: every step gets its
+    own ``scipy.linalg.expm``, never the constant-Hamiltonian shortcut or the
+    batched eigensolve, and only the final state is returned.  A callable
+    ``h_of_t`` is evaluated for chunks of consecutive midpoints.
     """
     psi = np.array(check_pure_state(psi0), dtype=complex)
     d = psi.size
-    constant = not callable(h_of_t)
-    h_const = np.asarray(h_of_t, dtype=complex) if constant else None
+    if not callable(h_of_t):
+        h_const = np.asarray(h_of_t, dtype=complex)
+
+        def h_of_t(t):
+            return np.broadcast_to(h_const, (t.size, d, d))
+
     n = grid.n_steps * refine
     dt = grid.span / n
-    for k in range(n):
-        if constant:
-            h = h_const
-        else:
-            h = _hamiltonian_stack(h_of_t, np.array([grid.t_start + (k + 0.5) * dt]), d)[0]
-        psi = scipy.linalg.expm(-1j * h * dt) @ psi
+    chunk = _chunk_steps(d)
+    for k0 in range(0, n, chunk):
+        t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
+        for h in _hamiltonian_stack(h_of_t, t_mid, d):
+            psi = scipy.linalg.expm(-1j * h * dt) @ psi
     return psi

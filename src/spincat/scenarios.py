@@ -21,11 +21,9 @@ import scipy.linalg
 
 from ._version import __version__
 from .control import (
-    PulseSegment,
     PulseSchedule,
     ToneSpec,
     cat_schedule,
-    drive_phase_offset,
     givens_schedule,
     oat_equivalent_phase_shifts,
     rotating_frame_hamiltonian,
@@ -146,8 +144,22 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Inverse of :func:`config_to_dict`; missing sections fall back to the
-    default parameter set."""
+    default parameter set.  A key that :func:`config_to_dict` does not write
+    is an error naming its dotted path; ``params`` is free-form."""
     base = paper_config()
+    known = config_to_dict(base)
+    if not isinstance(doc, dict):
+        raise ValueError("a config must be a JSON object")
+    for key, section in doc.items():
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        if key == "params" or not isinstance(known[key], dict):
+            continue
+        if not isinstance(section, dict):
+            raise ValueError(f"config section {key!r} must be an object")
+        for sub in section:
+            if sub not in known[key]:
+                raise ValueError(f"unknown config key '{key}.{sub}'")
     spin = SpinQuantum(doc.get("spin", {}).get("twice_i", base.spin.twice_i))
     f = doc.get("fields", {})
     fields = FieldSpec(
@@ -251,55 +263,85 @@ def ramsey_cat_protocol(
     frame phase accumulated up to the second pulse's start, exposing the
     clean collapse-and-revival of period pi/omega_q_eff.  The reference
     frequency defaults to gamma*B0 (``params["phase_reference_omega"]``).
+    In the rotating and effective frames the signal is the zero-rate case of
+    :func:`decoherence_sweep`; the lab frame integrates the full schedule
+    for every T.
     """
     if phase_rule not in ("fixed", "rotating"):
         raise ValueError(f"phase_rule must be 'fixed' or 'rotating', got {phase_rule!r}")
     spin = cfg.spin
     ladder = _ladder(cfg)
-    freqs = ladder.transition_freqs
     t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
-    omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
+    omega_ref = 0.0
+    if phase_rule == "rotating":
+        omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
     if t_values is None:
         omega_eff = effective_oat_strength(cfg.quad, spin)
         t_max = cfg.params.get("t_max", 2.5 * np.pi / abs(omega_eff))
         n_points = int(cfg.params.get("n_points", 1251))
         t_values = np.linspace(0.0, t_max, n_points)
     t_values = np.asarray(t_values, dtype=float)
-
-    iz = spin_operators(spin).Iz
     psi0 = eigenstate(spin, spin.i)
-    vals = np.empty(t_values.size)
-    for k, t_wait in enumerate(t_values):
-        delta_phi = np.pi / 2
-        if phase_rule == "rotating":
-            delta_phi += omega_ref * (t_wait + t_half)
-        sched = cat_schedule(freqs, delta_phi, t_wait, t_half)
-        psi = _protocol_final_state(cfg, sched, ladder, psi0)
-        vals[k] = effective_size(psi, iz, spin)
-    return SizeSeries(times=t_values, values=vals, operator_tag="Iz")
 
-
-def _protocol_final_state(cfg, sched: PulseSchedule, ladder, psi0) -> np.ndarray:
-    """Final state of a pulse schedule applied to psi0 in the configured frame."""
     if cfg.frame == "lab":
-        h_static = static_hamiltonian(cfg.fields, cfg.quad, cfg.spin)
-        axis_op = _measure_operator(cfg.spin, cfg.fields.drive_axis)
-        gamma_b1 = cfg.fields.gamma_b1
+        h_static = static_hamiltonian(cfg.fields, cfg.quad, spin)
+        dt = LAB_FRAME_DT if cfg.dt is None else cfg.dt
+        finals = []
+        for t in t_values:
+            delta_phi = np.pi / 2 + omega_ref * (t + t_half)
+            sched = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half)
+            h_of_t = _lab_hamiltonian(h_static, cfg.fields, spin, sched.envelope)
+            grid = TimeGrid(0.0, sched.t_end, dt=dt, output_stride=10 ** 9)
+            finals.append(evolve_unitary(h_of_t, psi0, grid, frame="lab").final_state)
+        return _neff_series(finals, t_values, spin_operators(spin).Iz, spin, "Iz")
+    h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
+    psi1 = _pulse_unitary(h1, t_half) @ psi0
+    rho1 = np.outer(psi1, psi1.conj())
+    return _signal_after_gap(rho1, DecoherenceSpec(), u2, nu, t_values, spin)
 
-        def h_of_t(t):
-            return h_static + np.multiply.outer(gamma_b1 * sched.envelope(t), axis_op)
 
-        dt = cfg.dt or LAB_FRAME_DT
-        grid = TimeGrid(0.0, sched.t_end, dt=dt, output_stride=10 ** 9)
-        traj = evolve_unitary(h_of_t, psi0, grid, frame="lab")
-        return traj.final_state
-    psi = np.array(psi0, dtype=complex)
-    for seg in sched.segments:
-        h_rot = segment_rotating_hamiltonian(
+def _pulse_pair(cfg, ladder, t_half: float, omega_ref: float) -> tuple:
+    """The cat protocol's pulses in the generalized rotating frame, where
+    free evolution is the identity: the first pulse's Hamiltonian, the
+    second pulse's propagator U2(0) at zero gap, and the rates
+    nu_k = omega_ref * k + E_k (k the basis index) that give the second
+    pulse at gap T as U2(T) = D U2(0) D^dagger with D = diag(exp(i nu T)).
+    """
+    delta_phi = np.pi / 2 + omega_ref * t_half
+    sched = cat_schedule(ladder.transition_freqs, delta_phi, 0.0, t_half)
+    h1, h2 = (
+        segment_rotating_hamiltonian(
             seg, cfg.spin, cfg.fields.gamma_b1, ladder, cfg.fields.drive_axis
         )
-        psi = _pulse_unitary(h_rot, seg.duration) @ psi
-    return psi
+        for seg in sched.segments
+    )
+    nu = omega_ref * np.arange(cfg.spin.dimension) + ladder.energies
+    return h1, _pulse_unitary(h2, t_half), nu
+
+
+def _signal_after_gap(rho1, dec: DecoherenceSpec, u2, nu, t_values, spin) -> SizeSeries:
+    """N_eff(Iz) after the second pulse, for each gap T, from the state
+    ``rho1`` after the first.  Over the gap the jump operators dephase it
+    in closed form, rho_jk(T) = rho_jk exp(-[Gm (m_j-m_k)^2 +
+    Ge (m_j^2-m_k^2)^2] T / 2).  D commutes with Iz, so the measured state
+    is U2(0) D^dagger rho(T) D U2(0)^dagger."""
+    if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
+        raise ValueError("need at least one gap time, each finite and >= 0")
+    m = spin.m_values
+    rates = (
+        dec.gamma_m * np.subtract.outer(m, m) ** 2
+        + dec.gamma_e * np.subtract.outer(m ** 2, m ** 2) ** 2
+    )
+    generator = -0.5 * rates - 1j * np.subtract.outer(nu, nu)
+    u2_dag = u2.conj().T
+    states = (u2 @ (rho1 * np.exp(generator * t)) @ u2_dag for t in t_values)
+    return _neff_series(states, t_values, spin_operators(spin).Iz, spin, "Iz")
+
+
+def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope):
+    """H_static + gamma_B1 envelope(t) I_axis, mapping k times to (k, d, d)."""
+    axis_op = _measure_operator(spin, fields.drive_axis)
+    return lambda t: h_static + np.multiply.outer(fields.gamma_b1 * envelope(t), axis_op)
 
 
 @dataclass
@@ -427,12 +469,13 @@ def decoherence_sweep(
     """Collapse-and-revival signal N_eff(Iz)(T) under dephasing.
 
     Cycle structure: the first multi-tone pi/2 pulse evolves under the full
-    Lindblad equation; the cat then collapses and revives freely while
-    dephasing acts (H = 0 in the generalized rotating frame, where the
-    diagonal jump operators are frame-invariant); the second, T-dependent
-    pulse is applied as a unitary at each sample.  Params: ``t_max`` (default
+    Lindblad equation (RK4 at ``pulse_dt``).  Over the gap T the Hamiltonian
+    is zero in the generalized rotating frame and the diagonal jump operators
+    dephase the state in closed form; the second pulse follows the rotating
+    phase rule of :func:`ramsey_cat_protocol` and is the zero-gap pulse
+    conjugated by a diagonal phase.  Params: ``t_max`` (default
     40 ms), ``n_points`` (default 40001, i.e. 1 us sampling so revivals are
-    resolved), ``pulse_dt``.
+    resolved), ``pulse_dt`` (default 1 us).
     """
     if gamma_m_list is None:
         gamma_m_list = [cfg.decoherence.gamma_m]
@@ -445,44 +488,22 @@ def decoherence_sweep(
 def _decoherence_single(cfg: ScenarioConfig, gamma_m: float, gamma_e: float) -> SweepResult:
     spin = cfg.spin
     ladder = _ladder(cfg)
-    freqs = ladder.transition_freqs
     dec = DecoherenceSpec(gamma_m=gamma_m, gamma_e=gamma_e)
     t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
-    omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
-    t_max = cfg.params.get("t_max", 40e-3)
-    n_points = int(cfg.params.get("n_points", 40001))
+    t_values = np.linspace(
+        0.0, cfg.params.get("t_max", 40e-3), int(cfg.params.get("n_points", 40001))
+    )
     psi0 = eigenstate(spin, spin.i)
     rho0 = np.outer(psi0, psi0.conj())
 
-    # first pulse under the master equation
-    offset = drive_phase_offset(cfg.fields.drive_axis)
-    h1 = rotating_frame_hamiltonian(
-        _uniform_tones(freqs, 1.0 / spin.twice_i, offset), spin, cfg.fields.gamma_b1, ladder
-    )
+    omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
+    h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
     pulse_dt = cfg.params.get("pulse_dt", 1e-6)
     traj1 = evolve_lindblad(
         h1, rho0, dec, TimeGrid(0.0, t_half, dt=pulse_dt, output_stride=10 ** 9),
         frame="rotating",
     )
-    rho = traj1.final_state
-
-    # free dephasing over the T span (H = 0 in the generalized rotating frame)
-    d = spin.dimension
-    grid = TimeGrid(0.0, t_max, dt=t_max / (n_points - 1))
-    traj = evolve_lindblad(np.zeros((d, d)), rho, dec, grid, frame="rotating")
-
-    iz = spin_operators(spin).Iz
-    vals = np.empty(len(traj.states))
-    for k, (t_wait, rho_t) in enumerate(zip(traj.times, traj.states)):
-        delta_phi = np.pi / 2 + omega_ref * (t_wait + t_half)
-        seg2 = cat_schedule(freqs, delta_phi, float(t_wait), t_half).segments[1]
-        h2 = segment_rotating_hamiltonian(
-            seg2, spin, cfg.fields.gamma_b1, ladder, cfg.fields.drive_axis
-        )
-        u2 = _pulse_unitary(h2, t_half)
-        sigma = u2 @ rho_t @ u2.conj().T
-        vals[k] = effective_size(sigma, iz, spin)
-    series = SizeSeries(times=traj.times, values=vals, operator_tag="Iz")
+    series = _signal_after_gap(traj1.final_state, dec, u2, nu, t_values, spin)
     return SweepResult(gamma_m=gamma_m, gamma_e=gamma_e, series=series)
 
 
@@ -578,13 +599,12 @@ def _tact_single(
     fields = replace(cfg.fields, gamma_b0=float(gamma_b0))
     h = static_hamiltonian(fields, quad, spin)
     t_max = cfg.params.get("t_max", 2 * np.pi / quad.omega_q)
-    if gamma_b0 > 0:
-        dt = cfg.dt or LAB_FRAME_DT
-    else:
-        dt = cfg.dt or t_max / int(cfg.params.get("n_steps", 20000))
-    n_steps = max(1, int(np.ceil(t_max / dt - 1e-9)))
-    stride = max(1, n_steps // int(cfg.params.get("n_output", 4000)))
-    grid = TimeGrid(0.0, t_max, dt=dt, output_stride=stride)
+    dt = cfg.dt
+    if dt is None:
+        dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / int(cfg.params.get("n_steps", 20000))
+    grid = TimeGrid(0.0, t_max, dt=dt)
+    stride = max(1, grid.n_steps // int(cfg.params.get("n_output", 4000)))
+    grid = replace(grid, output_stride=stride)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     traj = evolve_unitary(h, psi0, grid, frame="lab")
 
@@ -637,17 +657,9 @@ def multitone_lab_validation(
     h_static = static_hamiltonian(fields, quad, spin)
     ladder = energy_ladder(h_static, spin)
     t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
-    seg = PulseSegment(
-        tones=_uniform_tones(ladder.transition_freqs, 1.0 / spin.twice_i, 0.0),
-        t_start=0.0,
-        t_end=t_half,
-    )
-    axis_op = _measure_operator(spin, fields.drive_axis)
+    seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1
-
-    def h_of_t(t):
-        return h_static + np.multiply.outer(gamma_b1 * seg.envelope(t), axis_op)
-
+    h_of_t = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
     grid = TimeGrid(0.0, t_half, dt=dt, output_stride=10 ** 9)
     psi0 = eigenstate(spin, spin.i)
     traj = evolve_unitary(h_of_t, psi0, grid, frame="lab")

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spincat.cli import main
 
@@ -82,3 +83,33 @@ def test_husimi_without_twisting_is_a_diagnostic_exit(tmp_path, capsys):
     rc = main(["husimi", "--config", str(path)])
     assert rc == 2
     assert "effective twisting strength is zero" in capsys.readouterr().err
+
+
+def test_lab_check_rejects_zero_dt(capsys):
+    rc = main(["lab-check", "--dt", "0", "--scale", "400"])
+    assert rc == 2
+    assert "dt must be positive, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"fields": {"gamma_b0": 1e6}}, "'fields.gamma_b0'"),
+        ({"quadrupole": {"omega_q_hz": 40e3, "etta": 0.5}}, "'quadrupole.etta'"),
+        ({"decoherance": {}}, "'decoherance'"),
+    ],
+)
+def test_unknown_config_key_is_a_diagnostic_exit(tmp_path, capsys, doc, key):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["oat", "--config", str(path)])
+    assert rc == 2
+    assert f"unknown config key {key}" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_is_a_diagnostic_exit(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[7]")
+    rc = main(["oat", "--config", str(path)])
+    assert rc == 2
+    assert "a config must be a JSON object" in capsys.readouterr().err

@@ -234,6 +234,21 @@ def test_lindblad_closed_system_matches_unitary():
     assert trace_distance < 1e-8
 
 
+@pytest.mark.parametrize(
+    "h, got",
+    [
+        (lambda t: np.zeros((t.size, 4, 4)), "got a callable"),
+        (np.zeros((3, 3)), "got shape (3, 3)"),
+        (np.zeros((1, 4, 4)), "got shape (1, 4, 4)"),
+    ],
+)
+def test_lindblad_takes_only_a_constant_hamiltonian(h, got):
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    grid = TimeGrid(0.0, 1e-6, dt=1e-7)
+    with pytest.raises(ValueError, match=re.escape(f"shape (4, 4), {got}")):
+        evolve_lindblad(h, rho0, DecoherenceSpec(gamma_m=1.0), grid)
+
+
 def test_lindblad_elementwise_dephasing_oracle():
     # with H = 0 and diagonal jumps the master equation decouples:
     # rho_ab(t) = rho_ab(0) exp(-[Gm (ma-mb)^2 + Ge (ma^2-mb^2)^2] t / 2)

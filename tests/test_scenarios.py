@@ -1,11 +1,22 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
-from spincat.hamiltonian import QuadrupoleSpec
-from spincat.observables import revival_peaks
+from spincat.control import (
+    ToneSpec,
+    cat_schedule,
+    drive_phase_offset,
+    rotating_frame_hamiltonian,
+    rotation_params,
+    segment_rotating_hamiltonian,
+)
+from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
+from spincat.hamiltonian import QuadrupoleSpec, energy_ladder, static_hamiltonian
+from spincat.observables import effective_size, revival_peaks
 from spincat.scenarios import (
     coherence_scaling,
     config_from_dict,
@@ -19,7 +30,7 @@ from spincat.scenarios import (
     virtual_phase_cat,
     write_manifest,
 )
-from spincat.spin import SpinQuantum, eigenstate, fidelity
+from spincat.spin import SpinQuantum, eigenstate, fidelity, spin_operators
 
 TWO_PI = 2 * np.pi
 
@@ -84,6 +95,87 @@ def test_ramsey_fixed_rule_oscillates_at_larmor_scale():
 def test_ramsey_rejects_unknown_rule():
     with pytest.raises(ValueError):
         ramsey_cat_protocol(paper_config(), t_values=[0.0], phase_rule="sideways")
+
+
+def _per_sample_second_pulses(cfg, t_values, omega_ref):
+    """The second pulse built afresh for every gap T: cat_schedule, then
+    segment_rotating_hamiltonian, then expm (the sweeps' former path)."""
+    spin = cfg.spin
+    ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, spin), spin)
+    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    for t in t_values:
+        delta_phi = np.pi / 2 + omega_ref * (t + t_half)
+        seg = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half).segments[1]
+        h = segment_rotating_hamiltonian(
+            seg, spin, cfg.fields.gamma_b1, ladder, cfg.fields.drive_axis
+        )
+        yield scipy.linalg.expm(-1j * h * t_half)
+
+
+def _first_pulse_hamiltonian(cfg):
+    spin = cfg.spin
+    ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, spin), spin)
+    phase = drive_phase_offset(cfg.fields.drive_axis)
+    tones = [ToneSpec(float(w), 1.0 / spin.twice_i, phase) for w in ladder.transition_freqs]
+    return rotating_frame_hamiltonian(tones, spin, cfg.fields.gamma_b1, ladder)
+
+
+@pytest.mark.parametrize("twice_i", [3, 7])
+@pytest.mark.parametrize("phase_rule", ["rotating", "fixed"])
+def test_ramsey_matches_per_sample_pulse_construction(twice_i, phase_rule):
+    cfg = paper_config(twice_i=twice_i)
+    spin = cfg.spin
+    revival = np.pi / cfg.quad.omega_q
+    rng = np.random.default_rng(twice_i)
+    t_values = np.concatenate(
+        [[0.0], np.sort(rng.uniform(0.0, 2.5 * revival, 17)), [1.7e-3, 4.3e-3]]
+    )
+    omega_ref = cfg.fields.gamma_b0 if phase_rule == "rotating" else 0.0
+    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    psi1 = scipy.linalg.expm(-1j * _first_pulse_hamiltonian(cfg) * t_half) @ eigenstate(
+        spin, spin.i
+    )
+    iz = spin_operators(spin).Iz
+    expected = [
+        effective_size(u2 @ psi1, iz, spin)
+        for u2 in _per_sample_second_pulses(cfg, t_values, omega_ref)
+    ]
+    series = ramsey_cat_protocol(cfg, t_values=t_values, phase_rule=phase_rule)
+    assert np.max(np.abs(series.values - expected)) <= 1e-8
+
+
+def test_decoherence_matches_dense_lindblad_gap():
+    cfg = paper_config(twice_i=3, params={"t_max": 400e-6, "n_points": 51})
+    spin = cfg.spin
+    dec = DecoherenceSpec(gamma_m=500.0, gamma_e=100.0)
+    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    psi0 = eigenstate(spin, spin.i)
+    rho1 = evolve_lindblad(
+        _first_pulse_hamiltonian(cfg), np.outer(psi0, psi0.conj()), dec,
+        TimeGrid(0.0, t_half, dt=1e-6, output_stride=10 ** 9),
+    ).final_state
+    # the gap at a quarter of the output spacing, so RK4 error stays ~1e-11
+    gap = evolve_lindblad(
+        np.zeros((4, 4)), rho1, dec, TimeGrid(0.0, 400e-6, dt=2e-6, output_stride=4)
+    )
+    iz = spin_operators(spin).Iz
+    pulses = _per_sample_second_pulses(cfg, gap.times, cfg.fields.gamma_b0)
+    expected = [
+        effective_size(u2 @ rho @ u2.conj().T, iz, spin)
+        for u2, rho in zip(pulses, gap.states)
+    ]
+    res = decoherence_sweep(cfg, [dec.gamma_m], [dec.gamma_e])[0]
+    assert_allclose(res.series.times, gap.times, rtol=1e-12, atol=0)
+    assert np.max(np.abs(res.series.values - expected)) <= 1e-8
+    assert res.series.values[-1] < 0.9 * res.series.values.max()  # visibly dephased
+
+
+def test_gap_sweeps_reject_bad_gap_times():
+    cfg = paper_config(twice_i=3)
+    with pytest.raises(ValueError, match="gap time"):
+        ramsey_cat_protocol(cfg, t_values=[0.0, -1e-6])
+    with pytest.raises(ValueError, match="gap time"):
+        decoherence_sweep(replace(cfg, params={"n_points": 0}))
 
 
 @pytest.mark.parametrize("twice_i", [3, 5, 7])
