@@ -15,13 +15,12 @@ generator is gamma_B1/(4I) times a spin component, so a pi/2 rotation takes
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import EnergyLadder
-from .spin import SpinQuantum, spin_operators
+from .spin import SpinQuantum, _require_finite, spin_operators
 
 __all__ = [
     "ToneSpec",
@@ -67,6 +66,7 @@ class ToneSpec:
     phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "omega", "eps", "phi")
         if not 0.0 <= self.eps <= 1.0 + 1e-12:
             raise ValueError(f"tone amplitude must lie in [0, 1], got {self.eps}")
 
@@ -106,14 +106,6 @@ class PulseSegment:
     def envelope(self, t):
         """Drive amplitude at time(s) ``t``; zero outside [t_start, t_end)."""
         t0 = self.origin
-        if np.ndim(t) == 0:
-            tf = float(t)
-            if not self.t_start <= tf < self.t_end:
-                return 0.0
-            return sum(
-                tone.eps * math.cos(tone.omega * (tf - t0) + tone.phi)
-                for tone in self.tones
-            )
         t = np.asarray(t, dtype=float)
         val = np.zeros_like(t)
         for tone in self.tones:
@@ -145,12 +137,7 @@ class PulseSchedule:
         return sum(seg.duration for seg in self.segments)
 
     def envelope(self, t):
-        if np.ndim(t) == 0:
-            tf = float(t)
-            for seg in self.segments:
-                if seg.t_start <= tf < seg.t_end:
-                    return seg.envelope(tf)
-            return 0.0
+        """Drive amplitude at time(s) ``t``: the sum of the segments' envelopes."""
         t = np.asarray(t, dtype=float)
         val = np.zeros_like(t)
         for seg in self.segments:

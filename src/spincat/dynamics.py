@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .spin import check_density_matrix, check_pure_state, is_hermitian
+from .spin import _require_finite, check_density_matrix, check_pure_state, is_hermitian
 
 __all__ = [
     "IntegrationError",
@@ -63,6 +63,7 @@ class DecoherenceSpec:
     gamma_e: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "gamma_m", "gamma_e")
         if self.gamma_m < 0 or self.gamma_e < 0:
             raise ValueError("decoherence rates must be >= 0")
 
@@ -81,10 +82,7 @@ class TimeGrid:
     output_stride: int = 1
 
     def __post_init__(self):
-        for name in ("t_start", "t_end", "dt"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(self, "t_start", "t_end", "dt")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end <= self.t_start:
@@ -107,25 +105,16 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Sampled states on a time grid, tagged with the frame they live in."""
+    """Sampled states on a time grid: ``states`` stacks one state per entry
+    of ``times`` along its first axis, (n, d) pure states or (n, d, d)
+    density matrices."""
 
     times: np.ndarray
-    states: list
-    frame: str = "effective"
+    states: np.ndarray
 
     @property
     def final_state(self):
         return self.states[-1]
-
-    def expectations(self, op: np.ndarray) -> np.ndarray:
-        """Expectation value of ``op`` at every sample (pure or mixed)."""
-        out = np.empty(len(self.states))
-        for k, state in enumerate(self.states):
-            if state.ndim == 1:
-                out[k] = np.vdot(state, op @ state).real
-            else:
-                out[k] = np.trace(state @ op).real
-        return out
 
 
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
@@ -175,7 +164,7 @@ def _step_propagators(h: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
-def evolve_unitary(h_of_t, psi0, grid: TimeGrid, frame: str = "effective") -> Trajectory:
+def evolve_unitary(h_of_t, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate the Schroedinger equation over the grid.
 
     ``h_of_t`` is either a constant (d, d) matrix or a callable that maps a
@@ -190,7 +179,7 @@ def evolve_unitary(h_of_t, psi0, grid: TimeGrid, frame: str = "effective") -> Tr
     stride = grid.output_stride
 
     times = [grid.t_start]
-    states = [psi.copy()]
+    states = [psi]
 
     def record(k, psi):
         # k steps have been taken
@@ -201,7 +190,7 @@ def evolve_unitary(h_of_t, psi0, grid: TimeGrid, frame: str = "effective") -> Tr
                 f"norm drifted to {norm} at t = {t}; reduce dt (currently {dt})"
             )
         times.append(t)
-        states.append(psi.copy())
+        states.append(psi)
 
     if callable(h_of_t):
         d = psi.size
@@ -220,7 +209,7 @@ def evolve_unitary(h_of_t, psi0, grid: TimeGrid, frame: str = "effective") -> Tr
             if k % stride == 0 or k == n:
                 record(k, psi)
 
-    return Trajectory(times=np.array(times), states=states, frame=frame)
+    return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def _lindblad_rhs(h, rho, jumps):
@@ -231,9 +220,7 @@ def _lindblad_rhs(h, rho, jumps):
     return out
 
 
-def evolve_lindblad(
-    h, rho0, dec: DecoherenceSpec, grid: TimeGrid, frame: str = "effective"
-) -> Trajectory:
+def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory:
     """Integrate the Lindblad master equation with dephasing jump operators
     L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e).
 
@@ -260,7 +247,7 @@ def evolve_lindblad(
     n = grid.n_steps
 
     times = [grid.t_start]
-    states = [rho.copy()]
+    states = [rho]
 
     def record(t, rho):
         rho_s = (rho + rho.conj().T) / 2
@@ -288,7 +275,7 @@ def evolve_lindblad(
         if (k + 1) % grid.output_stride == 0 or k == n - 1:
             record(grid.t_start + (k + 1) * dt, rho)
 
-    return Trajectory(times=np.array(times), states=states, frame=frame)
+    return Trajectory(times=np.array(times), states=np.array(states))
 
 
 def reference_final_state(h_of_t, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:

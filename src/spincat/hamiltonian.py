@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinQuantum, eigenstate, is_hermitian, spin_operators
+from .spin import SpinQuantum, _require_finite, eigenstate, is_hermitian, spin_operators
 
 __all__ = [
     "QuadrupoleSpec",
@@ -52,6 +52,7 @@ class QuadrupoleSpec:
     euler: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        _require_finite(self, "omega_q", "eta")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if self.omega_q < 0:
@@ -59,6 +60,7 @@ class QuadrupoleSpec:
         if len(self.euler) != 3:
             raise ValueError("euler must be a (delta, mu, nu) triple")
         object.__setattr__(self, "euler", tuple(float(x) for x in self.euler))
+        _require_finite(self, "euler")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,7 @@ class FieldSpec:
     drive_axis: str = "y"
 
     def __post_init__(self):
+        _require_finite(self, "gamma_b0", "gamma_b1")
         if self.gamma_b0 < 0 or self.gamma_b1 < 0:
             raise ValueError("gamma_b0 and gamma_b1 must be >= 0")
         if self.drive_axis not in ("x", "y"):

@@ -15,6 +15,7 @@ __all__ = [
     "SizeSeries",
     "expectation_and_variance",
     "effective_size",
+    "effective_sizes",
     "husimi_q",
     "cat_coherence",
     "flip_probability",
@@ -69,15 +70,29 @@ class SizeSeries:
         return float(self.times[int(np.argmax(self.values))])
 
 
-def _moments(state: np.ndarray, op: np.ndarray) -> tuple:
-    if state.ndim == 1:
-        ostate = op @ state
-        e = np.vdot(state, ostate).real
-        e2 = np.vdot(ostate, ostate).real
+def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
+    """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
+    density matrices.  The observable is checked once for the whole stack,
+    and the variance clamp of :func:`expectation_and_variance` applies to
+    each state."""
+    op = np.asarray(op)
+    if not is_hermitian(op, 1e-12):
+        raise ValueError("observable must be Hermitian")
+    states = np.asarray(states)
+    d = op.shape[0]
+    if states.shape[1:] not in ((d,), (d, d)):
+        raise ValueError("state and observable dimensions do not match")
+    if states.ndim == 2:
+        ostates = states @ op.T
+        e = np.vecdot(states, ostates).real
+        e2 = np.vecdot(ostates, ostates).real
     else:
-        e = np.trace(state @ op).real
-        e2 = np.trace(state @ op @ op).real
-    return e, e2
+        e = np.einsum("nij,ji->n", states, op).real
+        e2 = np.einsum("nij,ji->n", states, op @ op).real
+    var = e2 - e * e
+    if var.size and var.min() < -1e-12:
+        raise ValueError(f"variance {var.min()} is negative beyond rounding tolerance")
+    return e, np.maximum(var, 0.0)
 
 
 def expectation_and_variance(state: np.ndarray, op: np.ndarray) -> tuple:
@@ -86,25 +101,21 @@ def expectation_and_variance(state: np.ndarray, op: np.ndarray) -> tuple:
     Variance is clamped to zero within -1e-12 to absorb rounding; a more
     negative value indicates an inconsistent input and raises.
     """
-    op = np.asarray(op)
-    if not is_hermitian(op, 1e-12):
-        raise ValueError("observable must be Hermitian")
-    state = np.asarray(state)
-    if state.shape[0] != op.shape[0]:
-        raise ValueError("state and observable dimensions do not match")
-    e, e2 = _moments(state, op)
-    var = e2 - e * e
-    if var < 0:
-        if var < -1e-12:
-            raise ValueError(f"variance {var} is negative beyond rounding tolerance")
-        var = 0.0
-    return float(e), float(var)
+    e, var = _moments(np.asarray(state)[None], op)
+    return float(e[0]), float(var[0])
 
 
 def effective_size(state: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> float:
     """Degree of superposition (2/I) Var(O): 1 for a coherent state, 2I for
     an ideal cat measured along its separation axis."""
     _, var = expectation_and_variance(state, op)
+    return 2.0 * var / spin.i
+
+
+def effective_sizes(states: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> np.ndarray:
+    """:func:`effective_size` of every state of a stack, one array dimension
+    above a single state: (n, d) pure states or (n, d, d) density matrices."""
+    _, var = _moments(states, op)
     return 2.0 * var / spin.i
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +33,7 @@ from .control import (
     segment_rotating_hamiltonian,
 )
 from .dynamics import (
+    CHUNK_BYTES,
     LAB_FRAME_DT,
     DecoherenceSpec,
     TimeGrid,
@@ -46,7 +49,7 @@ from .hamiltonian import (
     energy_ladder,
     static_hamiltonian,
 )
-from .observables import SizeSeries, cat_coherence, effective_size, husimi_q
+from .observables import SizeSeries, cat_coherence, effective_sizes, husimi_q
 from .spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
 __all__ = [
@@ -91,7 +94,6 @@ class ScenarioConfig:
     decoherence: DecoherenceSpec = DecoherenceSpec()
     frame: str = "effective"
     dt: float | None = None
-    output_stride: int = 1
     params: dict = field(default_factory=dict)
     output_dir: str | None = None
 
@@ -136,16 +138,25 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
         },
         "frame": cfg.frame,
         "dt": cfg.dt,
-        "output_stride": cfg.output_stride,
         "params": cfg.params,
         "output_dir": cfg.output_dir,
     }
 
 
+def _finite(value, key: str) -> float:
+    """A config number as a float; anything but a finite real (a bool
+    included) is an error naming its dotted key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Inverse of :func:`config_to_dict`; missing sections fall back to the
     default parameter set.  A key that :func:`config_to_dict` does not write
-    is an error naming its dotted path; ``params`` is free-form."""
+    is an error naming its dotted path; ``params`` is free-form.  Numbers
+    must be finite reals, ``spin.twice_i`` an integer and
+    ``quadrupole.euler_rad`` a list of three numbers."""
     base = paper_config()
     known = config_to_dict(base)
     if not isinstance(doc, dict):
@@ -153,41 +164,56 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     for key, section in doc.items():
         if key not in known:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "params" or not isinstance(known[key], dict):
+        if not isinstance(known[key], dict):
             continue
         if not isinstance(section, dict):
             raise ValueError(f"config section {key!r} must be an object")
+        if key == "params":
+            continue
         for sub in section:
             if sub not in known[key]:
                 raise ValueError(f"unknown config key '{key}.{sub}'")
-    spin = SpinQuantum(doc.get("spin", {}).get("twice_i", base.spin.twice_i))
-    f = doc.get("fields", {})
+
+    def value(key: str):
+        section, sub = key.split(".")
+        return doc.get(section, {}).get(sub, known[section][sub])
+
+    def number(key: str) -> float:
+        return _finite(value(key), key)
+
+    twice_i = value("spin.twice_i")
+    if isinstance(twice_i, bool) or not isinstance(twice_i, numbers.Integral):
+        raise ValueError(f"config key 'spin.twice_i' must be an integer, got {twice_i!r}")
+    euler = value("quadrupole.euler_rad")
+    if not isinstance(euler, (list, tuple)) or len(euler) != 3:
+        raise ValueError(f"config key 'quadrupole.euler_rad' must hold 3 numbers, got {euler!r}")
+    dt = doc.get("dt")
+    output_dir = doc.get("output_dir")
+    if not isinstance(output_dir, (str, type(None))):
+        raise ValueError(f"config key 'output_dir' must be a string, got {output_dir!r}")
     fields = FieldSpec(
-        gamma_b0=f.get("gamma_b0_hz", base.fields.gamma_b0 / _TWO_PI) * _TWO_PI,
-        gamma_b1=f.get("gamma_b1_hz", base.fields.gamma_b1 / _TWO_PI) * _TWO_PI,
-        drive_axis=f.get("drive_axis", base.fields.drive_axis),
+        gamma_b0=number("fields.gamma_b0_hz") * _TWO_PI,
+        gamma_b1=number("fields.gamma_b1_hz") * _TWO_PI,
+        drive_axis=value("fields.drive_axis"),
     )
-    q = doc.get("quadrupole", {})
     quad = QuadrupoleSpec(
-        omega_q=q.get("omega_q_hz", base.quad.omega_q / _TWO_PI) * _TWO_PI,
-        eta=q.get("eta", base.quad.eta),
-        euler=tuple(q.get("euler_rad", base.quad.euler)),
+        omega_q=number("quadrupole.omega_q_hz") * _TWO_PI,
+        eta=number("quadrupole.eta"),
+        euler=tuple(_finite(x, "quadrupole.euler_rad") for x in euler),
     )
-    d = doc.get("decoherence", {})
     dec = DecoherenceSpec(
-        gamma_m=d.get("gamma_m_per_s", base.decoherence.gamma_m),
-        gamma_e=d.get("gamma_e_per_s", base.decoherence.gamma_e),
+        gamma_m=number("decoherence.gamma_m_per_s"),
+        gamma_e=number("decoherence.gamma_e_per_s"),
     )
     return ScenarioConfig(
-        spin=spin,
+        spin=SpinQuantum(twice_i),
         fields=fields,
         quad=quad,
         decoherence=dec,
         frame=doc.get("frame", "effective"),
-        dt=doc.get("dt"),
-        output_stride=doc.get("output_stride", 1),
+        dt=None if dt is None else _finite(dt, "dt"),
         params=doc.get("params", {}),
-        output_dir=doc.get("output_dir"),
+        output_dir=output_dir,
     )
 
 
@@ -208,7 +234,7 @@ def _ladder(cfg: ScenarioConfig) -> EnergyLadder:
 
 
 def _neff_series(states, times, op, spin, tag) -> SizeSeries:
-    vals = np.array([effective_size(s, op, spin) for s in states])
+    vals = effective_sizes(states, op, spin)
     return SizeSeries(times=np.asarray(times), values=vals, operator_tag=tag)
 
 
@@ -218,11 +244,6 @@ def _uniform_tones(freqs, eps, phi):
 
 def _pulse_unitary(h_rot: np.ndarray, duration: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * h_rot * duration)
-
-
-def _zeeman_corotate(psi: np.ndarray, spin: SpinQuantum, gamma_b0: float, t: float) -> np.ndarray:
-    """Undo Larmor precession only (frame co-rotating at gamma*B0)."""
-    return np.exp(1j * gamma_b0 * t * spin.m_values) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +269,7 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     h = omega * (ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     grid = TimeGrid(0.0, t_max, dt=t_max / (n_points - 1))
-    traj = evolve_unitary(h, psi0, grid, frame="effective")
+    traj = evolve_unitary(h, psi0, grid)
     tag = cfg.params.get("operator", "y")
     return _neff_series(traj.states, traj.times, _measure_operator(spin, tag), spin, tag)
 
@@ -292,7 +313,7 @@ def ramsey_cat_protocol(
             sched = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half)
             h_of_t = _lab_hamiltonian(h_static, cfg.fields, spin, sched.envelope)
             grid = TimeGrid(0.0, sched.t_end, dt=dt, output_stride=10 ** 9)
-            finals.append(evolve_unitary(h_of_t, psi0, grid, frame="lab").final_state)
+            finals.append(evolve_unitary(h_of_t, psi0, grid).final_state)
         return _neff_series(finals, t_values, spin_operators(spin).Iz, spin, "Iz")
     h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
     psi1 = _pulse_unitary(h1, t_half) @ psi0
@@ -324,7 +345,8 @@ def _signal_after_gap(rho1, dec: DecoherenceSpec, u2, nu, t_values, spin) -> Siz
     ``rho1`` after the first.  Over the gap the jump operators dephase it
     in closed form, rho_jk(T) = rho_jk exp(-[Gm (m_j-m_k)^2 +
     Ge (m_j^2-m_k^2)^2] T / 2).  D commutes with Iz, so the measured state
-    is U2(0) D^dagger rho(T) D U2(0)^dagger."""
+    is U2(0) D^dagger rho(T) D U2(0)^dagger.  The states are built for a
+    chunk of T values at a time, ``CHUNK_BYTES`` per stack."""
     if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
         raise ValueError("need at least one gap time, each finite and >= 0")
     m = spin.m_values
@@ -334,8 +356,13 @@ def _signal_after_gap(rho1, dec: DecoherenceSpec, u2, nu, t_values, spin) -> Siz
     )
     generator = -0.5 * rates - 1j * np.subtract.outer(nu, nu)
     u2_dag = u2.conj().T
-    states = (u2 @ (rho1 * np.exp(generator * t)) @ u2_dag for t in t_values)
-    return _neff_series(states, t_values, spin_operators(spin).Iz, spin, "Iz")
+    iz = spin_operators(spin).Iz
+    chunk = max(1, CHUNK_BYTES // generator.nbytes)
+    vals = [
+        effective_sizes(u2 @ (rho1 * np.exp(generator * t[:, None, None])) @ u2_dag, iz, spin)
+        for t in np.split(t_values, range(chunk, t_values.size, chunk))
+    ]
+    return SizeSeries(times=t_values, values=np.concatenate(vals), operator_tag="Iz")
 
 
 def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope):
@@ -399,9 +426,7 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
     reference = u_base @ (twist * (u_base @ psi0))
 
     traj = Trajectory(
-        times=np.array([0.0, t_half, 2 * t_half]),
-        states=[np.array(psi0), mid, final],
-        frame="rotating",
+        times=np.array([0.0, t_half, 2 * t_half]), states=np.array([psi0, mid, final])
     )
     return VirtualPhaseResult(
         trajectory=traj,
@@ -435,12 +460,12 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     sched = givens_schedule(spin, cfg.fields.gamma_b1, ladder, mode)
     psi = eigenstate(spin, spin.i).astype(complex)
     times = [0.0]
-    states = [psi.copy()]
+    states = [psi]
     for seg in sched.segments:
         h_rot = rotating_frame_hamiltonian(seg.tones, spin, cfg.fields.gamma_b1, ladder)
         psi = _pulse_unitary(h_rot, seg.duration) @ psi
         times.append(seg.t_end)
-        states.append(psi.copy())
+        states.append(psi)
     pop_top = abs(psi[0]) ** 2
     pop_bottom = abs(psi[-1]) ** 2
     target = eigenstate(spin, -spin.i)
@@ -448,7 +473,7 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     return GivensResult(
         mode=mode,
         schedule=sched,
-        trajectory=Trajectory(np.array(times), states, frame="rotating"),
+        trajectory=Trajectory(np.array(times), np.array(states)),
         total_duration=sched.t_end,
         edge_populations=(pop_top, pop_bottom),
         end_fidelity=fidelity(psi, target),
@@ -500,8 +525,7 @@ def _decoherence_single(cfg: ScenarioConfig, gamma_m: float, gamma_e: float) -> 
     h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
     pulse_dt = cfg.params.get("pulse_dt", 1e-6)
     traj1 = evolve_lindblad(
-        h1, rho0, dec, TimeGrid(0.0, t_half, dt=pulse_dt, output_stride=10 ** 9),
-        frame="rotating",
+        h1, rho0, dec, TimeGrid(0.0, t_half, dt=pulse_dt, output_stride=10 ** 9)
     )
     series = _signal_after_gap(traj1.final_state, dec, u2, nu, t_values, spin)
     return SweepResult(gamma_m=gamma_m, gamma_e=gamma_e, series=series)
@@ -606,18 +630,15 @@ def _tact_single(
     stride = max(1, grid.n_steps // int(cfg.params.get("n_output", 4000)))
     grid = replace(grid, output_stride=stride)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
-    traj = evolve_unitary(h, psi0, grid, frame="lab")
+    traj = evolve_unitary(h, psi0, grid)
 
-    op = _measure_operator(spin, tag)
-    vals = np.empty(len(traj.states))
-    rotated = []
-    for k, (t, psi) in enumerate(zip(traj.times, traj.states)):
-        psi_r = _zeeman_corotate(psi, spin, fields.gamma_b0, float(t)) if gamma_b0 else psi
-        rotated.append(psi_r)
-        vals[k] = effective_size(psi_r, op, spin)
+    # undo the Larmor precession only (frame co-rotating at gamma*B0)
+    corotate = np.exp(1j * np.multiply.outer(fields.gamma_b0 * traj.times, spin.m_values))
+    states = corotate * traj.states
+    vals = effective_sizes(states, _measure_operator(spin, tag), spin)
     series = SizeSeries(times=traj.times, values=vals, operator_tag=tag)
     kpk = int(np.argmax(vals))
-    hus = husimi_q(rotated[kpk], spin) if with_husimi else None
+    hus = husimi_q(states[kpk], spin) if with_husimi else None
     return TactResult(
         eta=float(eta),
         gamma_b0=float(gamma_b0),
@@ -662,7 +683,7 @@ def multitone_lab_validation(
     h_of_t = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
     grid = TimeGrid(0.0, t_half, dt=dt, output_stride=10 ** 9)
     psi0 = eigenstate(spin, spin.i)
-    traj = evolve_unitary(h_of_t, psi0, grid, frame="lab")
+    traj = evolve_unitary(h_of_t, psi0, grid)
     psi_rot = np.exp(1j * ladder.energies * grid.t_end) * traj.final_state
 
     h_rot = segment_rotating_hamiltonian(seg, spin, gamma_b1, ladder, fields.drive_axis)

@@ -197,6 +197,15 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL):
     return bool(ok) if ok.ndim == 0 else ok
 
 
+def _require_finite(spec, *names) -> None:
+    """Reject a spec whose field (a number or a tuple of numbers) among
+    ``names`` is NaN or infinite, naming the field."""
+    for name in names:
+        value = getattr(spec, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def check_pure_state(psi: np.ndarray, tol: float = STATE_NORM_TOL) -> np.ndarray:
     """Validate a pure-state vector (unit two-norm); returns the input."""
     psi = np.asarray(psi)

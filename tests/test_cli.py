@@ -97,6 +97,7 @@ def test_lab_check_rejects_zero_dt(capsys):
         ({"fields": {"gamma_b0": 1e6}}, "'fields.gamma_b0'"),
         ({"quadrupole": {"omega_q_hz": 40e3, "etta": 0.5}}, "'quadrupole.etta'"),
         ({"decoherance": {}}, "'decoherance'"),
+        ({"output_stride": 7}, "'output_stride'"),
     ],
 )
 def test_unknown_config_key_is_a_diagnostic_exit(tmp_path, capsys, doc, key):
@@ -113,3 +114,37 @@ def test_config_that_is_not_an_object_is_a_diagnostic_exit(tmp_path, capsys):
     rc = main(["oat", "--config", str(path)])
     assert rc == 2
     assert "a config must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"spin": {"twice_i": "7"}}, "'spin.twice_i'"),
+        ({"spin": {"twice_i": True}}, "'spin.twice_i'"),
+        ({"spin": {"twice_i": 7.0}}, "'spin.twice_i'"),
+        ({"fields": {"gamma_b0_hz": "8.25e6"}}, "'fields.gamma_b0_hz'"),
+        ({"fields": {"gamma_b0_hz": float("nan")}}, "'fields.gamma_b0_hz'"),
+        ({"fields": {"gamma_b1_hz": None}}, "'fields.gamma_b1_hz'"),
+        ({"quadrupole": {"eta": False}}, "'quadrupole.eta'"),
+        ({"quadrupole": {"omega_q_hz": float("inf")}}, "'quadrupole.omega_q_hz'"),
+        ({"quadrupole": {"euler_rad": 5}}, "'quadrupole.euler_rad'"),
+        ({"quadrupole": {"euler_rad": [0, 0]}}, "'quadrupole.euler_rad'"),
+        ({"quadrupole": {"euler_rad": [0, "pi", 0]}}, "'quadrupole.euler_rad'"),
+        ({"decoherence": {"gamma_m_per_s": float("nan")}}, "'decoherence.gamma_m_per_s'"),
+        ({"dt": "1e-9"}, "'dt'"),
+        ({"params": [1]}, "'params'"),
+        ({"output_dir": 5}, "'output_dir'"),
+    ],
+)
+def test_config_value_of_wrong_type_is_a_diagnostic_exit(tmp_path, capsys, doc, key):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["oat", "--config", str(path)])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
+    rc = main(["decoherence", "--gamma-m", "nan"])
+    assert rc == 2
+    assert "gamma_m must be finite" in capsys.readouterr().err

@@ -105,6 +105,13 @@ def test_cat_schedule_envelope_budget():
     ts = rng.uniform(0, sched.t_end, size=4000)
     env = sched.envelope(ts)
     assert np.max(np.abs(env)) <= 1.0 + 1e-12
+    # a scalar time, inside a segment, in the gap and past the end, takes
+    # the array path: same value as that time inside an array
+    seg = sched.segments[1]
+    for t in (0.5e-3, seg.t_start + 0.25e-3, 1.0e-3 + 1e-6, sched.t_end + 1e-6):
+        for source in (sched, seg):
+            assert source.envelope(t) == source.envelope(np.array([t, 0.0]))[0]
+    assert sched.envelope(1.0e-3 + 1e-6) == 0.0
 
 
 def test_rotating_frame_uniform_phases_collective_generator():
@@ -257,6 +264,11 @@ def test_segment_validation():
         PulseSegment(tones=(tone,), t_start=1.0, t_end=1.0)
     with pytest.raises(ValueError):
         ToneSpec(1e6, 1.5)
+    for field, args in (
+        ("omega", (np.inf, 0.5)), ("eps", (1e6, np.nan)), ("phi", (1e6, 0.5, np.nan))
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ToneSpec(*args)
     seg1 = PulseSegment(tones=(tone,), t_start=0.0, t_end=2.0)
     seg2 = PulseSegment(tones=(tone,), t_start=1.0, t_end=3.0)
     with pytest.raises(ValueError):

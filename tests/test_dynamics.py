@@ -183,7 +183,7 @@ def test_chunked_unitary_matches_per_step_oracle():
     grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
     assert grid.n_steps == n_steps
     psi0 = eigenstate(spin, spin.i)
-    traj = evolve_unitary(h_of_t, psi0, grid, frame="lab")
+    traj = evolve_unitary(h_of_t, psi0, grid)
     oracle = reference_final_state(h_of_t, psi0, grid, refine=1)
     assert np.linalg.norm(traj.final_state - oracle) <= 1e-10
     # per-step expm drifts ~3e-14 here; eigh without the unitary correction
@@ -300,3 +300,7 @@ def test_lindblad_paper_rates_conservations():
 def test_decoherence_spec_validation():
     with pytest.raises(ValueError):
         DecoherenceSpec(gamma_m=-1.0)
+    with pytest.raises(ValueError, match="^gamma_m must be finite"):
+        DecoherenceSpec(gamma_m=np.nan)
+    with pytest.raises(ValueError, match="^gamma_e must be finite"):
+        DecoherenceSpec(gamma_e=np.inf)

@@ -44,6 +44,13 @@ def test_quadrupole_spec_validation():
         QuadrupoleSpec(omega_q=1.0, eta=1.5)
     with pytest.raises(ValueError):
         QuadrupoleSpec(omega_q=-1.0)
+    for field, kwargs in (
+        ("omega_q", dict(omega_q=np.inf)),
+        ("eta", dict(eta=np.nan)),
+        ("euler", dict(euler=(0.0, np.nan, 0.0))),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            QuadrupoleSpec(**{"omega_q": 1.0, **kwargs})
 
 
 def test_aligned_symmetric_quadrupole_is_diagonal():
@@ -217,3 +224,7 @@ def test_field_spec_validation():
         FieldSpec(gamma_b0=-1.0)
     with pytest.raises(ValueError):
         FieldSpec(gamma_b0=1.0, drive_axis="z")
+    with pytest.raises(ValueError, match="^gamma_b0 must be finite"):
+        FieldSpec(gamma_b0=np.nan)
+    with pytest.raises(ValueError, match="^gamma_b1 must be finite"):
+        FieldSpec(gamma_b0=1.0, gamma_b1=np.inf)

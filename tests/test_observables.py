@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spincat.observables
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import (
     SizeSeries,
     cat_coherence,
     effective_size,
+    effective_sizes,
     expectation_and_variance,
     flip_probability,
     flip_probability_peak,
@@ -88,6 +90,72 @@ def test_effective_size_bounded_by_2i():
             psi /= np.linalg.norm(psi)
             for op in (ops.Ix, ops.Iy, ops.Iz):
                 assert effective_size(psi, op, spin) <= 2 * spin.i + 1e-9
+
+
+def random_states(rng, spin, n):
+    psi = rng.normal(size=(n, spin.dimension)) + 1j * rng.normal(size=(n, spin.dimension))
+    return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+
+def per_state_size(state, op, spin):
+    """N_eff of one state from one matrix-vector (pure) or matrix-matrix
+    (mixed) product, independent of the stacked kernel."""
+    if state.ndim == 1:
+        ostate = op @ state
+        e, e2 = np.vdot(state, ostate).real, np.vdot(ostate, ostate).real
+    else:
+        e, e2 = np.trace(state @ op).real, np.trace(state @ op @ op).real
+    return 2 * max(e2 - e * e, 0.0) / spin.i
+
+
+@pytest.mark.parametrize("twice_i", [1, 7, 25])
+def test_effective_sizes_match_per_state_loop(twice_i):
+    rng = np.random.default_rng(twice_i)
+    spin = SpinQuantum(twice_i)
+    ops = spin_operators(spin)
+    pure = random_states(rng, spin, 40)
+    square = random_states(rng, spin, spin.dimension)  # n == d: still pure states
+    # mixtures of three random pure states with random weights
+    weights = rng.dirichlet(np.ones(3), size=30)
+    comps = random_states(rng, spin, 90).reshape(30, 3, spin.dimension)
+    mixed = np.einsum("nk,nki,nkj->nij", weights, comps, comps.conj())
+    # a complex Hermitian observable: Ix, Iy and Iz would not notice a transpose
+    g = rng.normal(size=(spin.dimension,) * 2) + 1j * rng.normal(size=(spin.dimension,) * 2)
+    for op in (ops.Ix, ops.Iz, (g + g.conj().T) / np.sqrt(spin.dimension)):
+        for stack in (pure, square, mixed):
+            sizes = effective_sizes(stack, op, spin)
+            loop = [effective_size(s, op, spin) for s in stack]
+            assert np.max(np.abs(sizes - loop)) <= 1e-12
+            reference = [per_state_size(s, op, spin) for s in stack]
+            assert np.max(np.abs(sizes - reference)) <= 1e-12
+
+
+def test_effective_sizes_check_once_and_reject_bad_input(monkeypatch):
+    spin = SpinQuantum(7)
+    ops = spin_operators(spin)
+    calls = []
+    original = spincat.observables.is_hermitian
+
+    def counting(a, tol):
+        calls.append(tol)
+        return original(a, tol)
+
+    monkeypatch.setattr(spincat.observables, "is_hermitian", counting)
+    stack = random_states(np.random.default_rng(0), spin, 50)
+    effective_sizes(stack, ops.Iz, spin)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="observable must be Hermitian"):
+        effective_sizes(stack, np.triu(np.ones((8, 8))), spin)
+    assert len(calls) == 2
+    # an unnormalized sample makes its variance negative: the stack raises
+    bad = stack.copy()
+    bad[17] = 2 * eigenstate(spin, 3.5)
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        effective_sizes(bad, ops.Iz, spin)
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        effective_sizes(stack[:, :7], ops.Iz, spin)
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        effective_sizes(stack[0], ops.Iz, spin)  # one state is not a stack
 
 
 def test_husimi_stretched_state():

@@ -14,7 +14,7 @@ from spincat.control import (
     rotation_params,
     segment_rotating_hamiltonian,
 )
-from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
+from spincat.dynamics import CHUNK_BYTES, DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.hamiltonian import QuadrupoleSpec, energy_ladder, static_hamiltonian
 from spincat.observables import effective_size, revival_peaks
 from spincat.scenarios import (
@@ -170,6 +170,19 @@ def test_decoherence_matches_dense_lindblad_gap():
     assert res.series.values[-1] < 0.9 * res.series.values.max()  # visibly dephased
 
 
+def test_gap_sweep_chunks_match_per_sample_sweeps():
+    # 601 irregular gaps at d = 8: two full chunks of 256 and a partial one;
+    # a dropped or repeated gap at a chunk boundary shifts every later value
+    cfg = paper_config()
+    chunk = CHUNK_BYTES // (16 * cfg.spin.dimension ** 2)
+    t_values = np.sort(np.random.default_rng(5).uniform(0.0, 30e-6, 601))
+    assert t_values.size > 2 * chunk and t_values.size % chunk
+    series = ramsey_cat_protocol(cfg, t_values=t_values)
+    per_sample = [ramsey_cat_protocol(cfg, t_values=[t]).values[0] for t in t_values]
+    assert np.array_equal(series.times, t_values)
+    assert np.max(np.abs(series.values - per_sample)) <= 1e-12
+
+
 def test_gap_sweeps_reject_bad_gap_times():
     cfg = paper_config(twice_i=3)
     with pytest.raises(ValueError, match="gap time"):
@@ -273,6 +286,15 @@ def test_tact_aligned_oat_cat():
     assert abs(husimi_run.husimi.integral() - 1.0) < 1e-3
 
 
+def test_tact_corotating_frame_removes_larmor_precession():
+    # aligned symmetric EFG: H = gamma*B0 Iz + f(Iz) is diagonal, so in the
+    # frame co-rotating at gamma*B0 the state is the field-free one
+    cfg = paper_config(dt=1e-9, params={"t_max": 3e-6, "n_output": 300})
+    free, field = tact_oat_comparison(cfg, eta_list=[0.0], b0_list=[0.0, cfg.fields.gamma_b0])
+    assert np.array_equal(field.series.times, free.series.times)
+    assert np.max(np.abs(field.series.values - free.series.values)) <= 1e-9
+
+
 def test_config_round_trip_and_manifest(tmp_path):
     cfg = paper_config(params={"t_max": 1e-3}, output_dir=str(tmp_path))
     doc = config_to_dict(cfg)
@@ -283,7 +305,8 @@ def test_config_round_trip_and_manifest(tmp_path):
     assert back.decoherence == cfg.decoherence
     assert back.params == cfg.params
     path = write_manifest(tmp_path, "demo", cfg, 1.25, extras={"note": "test"})
-    manifest = json.loads(open(path).read())
+    with open(path) as fh:
+        manifest = json.load(fh)
     assert manifest["scenario"] == "demo"
     assert manifest["config"]["spin"]["twice_i"] == 7
     assert manifest["extras"]["note"] == "test"
