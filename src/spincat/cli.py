@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import IntegrationError, TimeGrid, evolve_unitary
+from .dynamics import LAB_FRAME_DT, IntegrationError, TimeGrid, evolve_unitary
 from .observables import husimi_q, save_husimi, save_size_series
 from .scenarios import (
     ScenarioConfig,
@@ -239,7 +239,7 @@ def _cmd_husimi(cfg, args) -> int:
     ops = spin_operators(spin)
     h = omega * (ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
-    traj = evolve_unitary(h, psi0, TimeGrid(0.0, t, dt=t / 200, output_stride=10 ** 9))
+    traj = evolve_unitary(h, psi0, TimeGrid(0.0, t, dt=t))
     grid = husimi_q(traj.final_state, spin, n_theta=args.n_theta, n_phi=args.n_phi)
     print(
         f"husimi: OAT state at t = {t * 1e6:.3f} us "
@@ -259,7 +259,7 @@ def _cmd_husimi(cfg, args) -> int:
 
 def _cmd_lab_check(cfg, args) -> int:
     t0 = time.time()
-    dt = 1e-9 if args.dt is None else args.dt
+    dt = LAB_FRAME_DT if cfg.dt is None else cfg.dt
     result = multitone_lab_validation(cfg, scale=args.scale, dt=dt)
     print(
         f"lab-check: scale = {result.scale:g}, {result.n_steps} steps of "

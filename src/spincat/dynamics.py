@@ -1,21 +1,21 @@
-"""Fixed-step integrators for the Schroedinger and Lindblad equations.
+"""Evolvers for the Schroedinger and Lindblad equations.
 
-Unitary dynamics use a piecewise-constant midpoint rule: each step applies
-exp(-i H(t_mid) dt).  A constant H is exponentiated once; a time-dependent H
-is built, checked and exponentiated (by one batched Hermitian eigensolve)
-for a chunk of consecutive step midpoints at a time.  Open dynamics use
-classical RK4 on the Lindblad right-hand side with a constant Hamiltonian.
-Both integrators are deterministic and validate their conservation laws
-(norm, trace, positivity) as they run.
+A constant generator (-iH, or the Lindblad Liouvillian) is propagated
+exactly from one stored sample to the next, one matrix exponential per
+distinct gap.  A time-dependent H uses a piecewise-constant midpoint rule,
+exp(-i H(t_mid) dt) per step, built and exponentiated (one batched
+Hermitian eigensolve) a chunk of steps at a time.  Both evolvers check
+their conservation laws (norm, trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
 callable that maps a 1-D array of k midpoint times to a (k, d, d) stack of
-matrices, one per time; any other shape is rejected.  The Lindblad
-integrator takes only a constant (d, d) matrix.
+matrices, one per time; any other shape is rejected.  The Lindblad evolver
+takes only a constant (d, d) matrix.  The dense oracles are for tests.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +32,12 @@ __all__ = [
     "evolve_unitary",
     "evolve_lindblad",
     "reference_final_state",
+    "reference_lindblad_state",
 ]
 
-#: Default integrator steps: lab-frame runs must resolve the Larmor scale and
-#: match the 1 ns waveform-generator resolution; rotating/effective-frame runs
-#: have the fast scale removed and may step much coarser.
+#: Default step of time-dependent (lab-frame) runs: it resolves the Larmor
+#: scale and matches the 1 ns waveform-generator resolution.
 LAB_FRAME_DT = 1e-9
-ROTATING_FRAME_DT = 1e-7
 
 NORM_ABORT_TOL = 1e-6
 TRACE_ABORT_TOL = 1e-8
@@ -67,28 +66,40 @@ class DecoherenceSpec:
         if self.gamma_m < 0 or self.gamma_e < 0:
             raise ValueError("decoherence rates must be >= 0")
 
+    def rates(self, m: np.ndarray) -> np.ndarray:
+        """R with d rho_jk/dt = -R_jk rho_jk / 2 on the ladder ``m``:
+        R_jk = gamma_m (m_j - m_k)^2 + gamma_e (m_j^2 - m_k^2)^2."""
+        return (
+            self.gamma_m * np.subtract.outer(m, m) ** 2
+            + self.gamma_e * np.subtract.outer(m ** 2, m ** 2) ** 2
+        )
+
 
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform integration grid on [t_start, t_end] with step ~dt.
 
     The span is divided into an integer number of equal steps no longer than
-    ``dt``; every ``output_stride``-th state (plus the final one) is stored.
+    ``dt``; the first, every ``output_stride``-th and the last state are
+    stored (the default ``None``: the first and last only).
     """
 
     t_start: float
     t_end: float
     dt: float
-    output_stride: int = 1
+    output_stride: int | None = None
 
     def __post_init__(self):
         _require_finite(self, "t_start", "t_end", "dt")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end <= self.t_start:
             raise ValueError("need t_end > t_start")
-        if self.output_stride < 1:
-            raise ValueError("output_stride must be >= 1")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        stride = self.output_stride
+        if stride is not None and (
+            isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1
+        ):
+            raise ValueError(f"output_stride must be None or an integer >= 1, got {stride!r}")
 
     @property
     def span(self) -> float:
@@ -101,6 +112,12 @@ class TimeGrid:
     @property
     def step(self) -> float:
         return self.span / self.n_steps
+
+    @property
+    def sample_steps(self) -> np.ndarray:
+        """Step counts of the stored states, ascending from 0 to n_steps."""
+        n = self.n_steps
+        return np.append(np.arange(0, n, self.output_stride or n), n)
 
 
 @dataclass
@@ -164,69 +181,66 @@ def _step_propagators(h: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
     return u
 
 
+def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> list:
+    """exp(G k dt) x0 for each step count k in ``steps`` (ascending, from
+    0), with one ``scipy.linalg.expm`` per distinct gap between entries."""
+    gaps = np.diff(steps).tolist()
+    maps = {gap: scipy.linalg.expm(g * (gap * dt)) for gap in set(gaps)}
+    xs = [x0]
+    for gap in gaps:
+        xs.append(maps[gap] @ xs[-1])
+    return xs
+
+
 def evolve_unitary(h_of_t, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate the Schroedinger equation over the grid.
 
-    ``h_of_t`` is either a constant (d, d) matrix or a callable that maps a
+    ``h_of_t`` is either a constant (d, d) Hermitian matrix, propagated
+    exactly from one stored sample to the next, or a callable that maps a
     1-D array of k step-midpoint times to a (k, d, d) stack of Hermitian
     matrices.  A callable is evaluated for chunks of consecutive steps at
-    once (``CHUNK_BYTES`` per stack).  The state norm is monitored at every
-    output sample and a drift beyond 1e-6 aborts with a step-size diagnostic.
+    once (``CHUNK_BYTES`` per stack).  The state norm is checked at every
+    stored sample; a drift beyond 1e-6 aborts.
     """
     psi = np.array(check_pure_state(psi0), dtype=complex)
     dt = grid.step
-    n = grid.n_steps
-    stride = grid.output_stride
-
-    times = [grid.t_start]
-    states = [psi]
-
-    def record(k, psi):
-        # k steps have been taken
-        t = grid.t_start + k * dt
-        norm = np.linalg.norm(psi)
-        if abs(norm - 1.0) > NORM_ABORT_TOL:
-            raise IntegrationError(
-                f"norm drifted to {norm} at t = {t}; reduce dt (currently {dt})"
-            )
-        times.append(t)
-        states.append(psi)
+    steps = grid.sample_steps
 
     if callable(h_of_t):
         d = psi.size
+        n = grid.n_steps
         chunk = _chunk_steps(d)
+        stored = set(steps.tolist())
+        states = [psi]
         for k0 in range(0, n, chunk):
             t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
             u_chunk = _step_propagators(_hamiltonian_stack(h_of_t, t_mid, d), t_mid, dt)
             for k, u in enumerate(u_chunk, start=k0 + 1):
                 psi = u @ psi
-                if k % stride == 0 or k == n:
-                    record(k, psi)
+                if k in stored:
+                    states.append(psi)
+        hint = f"; reduce dt (currently {dt})"
     else:
-        u_const = propagator(np.asarray(h_of_t, dtype=complex), dt)
-        for k in range(1, n + 1):
-            psi = u_const @ psi
-            if k % stride == 0 or k == n:
-                record(k, psi)
+        h = np.asarray(h_of_t, dtype=complex)
+        if not is_hermitian(h):
+            raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
+        states = _sample_exact(-1j * h, psi, steps, dt)
+        hint = ""
 
-    return Trajectory(times=np.array(times), states=np.array(states))
-
-
-def _lindblad_rhs(h, rho, jumps):
-    """Right-hand side of the Lindblad master equation (hbar = 1)."""
-    out = -1j * (h @ rho - rho @ h)
-    for gamma, l_op, l2 in jumps:
-        out += gamma * (l_op @ rho @ l_op.conj().T - 0.5 * (l2 @ rho + rho @ l2))
-    return out
+    traj = Trajectory(times=grid.t_start + steps * dt, states=np.array(states))
+    norms = np.linalg.norm(traj.states[1:], axis=1)
+    for t, norm in zip(traj.times[1:], norms):
+        if abs(norm - 1.0) > NORM_ABORT_TOL:
+            raise IntegrationError(f"norm drifted to {norm} at t = {t}{hint}")
+    return traj
 
 
 def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory:
-    """Integrate the Lindblad master equation with dephasing jump operators
-    L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e).
-
-    RK4 with the constant (d, d) Hamiltonian ``h``.  Sampled states are
-    symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7 aborts
-    with a step-size diagnostic.
+    """Propagate the Lindblad master equation with dephasing jump operators
+    L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e) exactly, with the
+    Liouvillian -i(H (x) 1 - 1 (x) H^T) - diag(vec R)/2 on row-major vec(rho)
+    (R from :meth:`DecoherenceSpec.rates`, H constant).  Stored states are
+    symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7 aborts.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     d = rho.shape[0]
@@ -235,47 +249,22 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
         raise ValueError(f"h must be a constant array of shape {(d, d)}, got {got}")
     h = np.asarray(h, dtype=complex)
     m = (d - 1 - 2 * np.arange(d)) / 2  # m ladder inferred from dimension
-    jumps = []
-    if dec.gamma_m > 0:
-        l_m = np.diag(m).astype(complex)
-        jumps.append((dec.gamma_m, l_m, l_m @ l_m))
-    if dec.gamma_e > 0:
-        l_e = np.diag(m ** 2).astype(complex)
-        jumps.append((dec.gamma_e, l_e, l_e @ l_e))
+    one = np.eye(d)
+    liouvillian = -1j * (np.kron(h, one) - np.kron(one, h.T))
+    liouvillian[np.diag_indices(d * d)] -= 0.5 * dec.rates(m).ravel()
 
-    dt = grid.step
-    n = grid.n_steps
-
-    times = [grid.t_start]
-    states = [rho]
-
-    def record(t, rho):
-        rho_s = (rho + rho.conj().T) / 2
-        tr = np.trace(rho_s).real
+    steps = grid.sample_steps
+    states = np.reshape(_sample_exact(liouvillian, rho.ravel(), steps, grid.step), (-1, d, d))
+    states[1:] = (states[1:] + states[1:].conj().swapaxes(-1, -2)) / 2
+    times = grid.t_start + steps * grid.step
+    traces = np.trace(states[1:], axis1=1, axis2=2).real
+    lows = np.linalg.eigvalsh(states[1:]).min(axis=1)
+    for t, tr, lo in zip(times[1:], traces, lows):
         if abs(tr - 1.0) > TRACE_ABORT_TOL:
-            raise IntegrationError(
-                f"trace drifted to {tr} at t = {t}; reduce dt (currently {dt})"
-            )
-        lo = np.linalg.eigvalsh(rho_s).min()
+            raise IntegrationError(f"trace drifted to {tr} at t = {t}")
         if lo < POSITIVITY_FLOOR:
-            raise IntegrationError(
-                f"eigenvalue {lo} below {POSITIVITY_FLOOR} at t = {t}; "
-                f"reduce dt (currently {dt})"
-            )
-        times.append(t)
-        states.append(rho_s)
-        return rho  # integration continues on the unsymmetrized state
-
-    for k in range(n):
-        k1 = _lindblad_rhs(h, rho, jumps)
-        k2 = _lindblad_rhs(h, rho + 0.5 * dt * k1, jumps)
-        k3 = _lindblad_rhs(h, rho + 0.5 * dt * k2, jumps)
-        k4 = _lindblad_rhs(h, rho + dt * k3, jumps)
-        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (k + 1) % grid.output_stride == 0 or k == n - 1:
-            record(grid.t_start + (k + 1) * dt, rho)
-
-    return Trajectory(times=np.array(times), states=np.array(states))
+            raise IntegrationError(f"eigenvalue {lo} below {POSITIVITY_FLOOR} at t = {t}")
+    return Trajectory(times=times, states=states)
 
 
 def reference_final_state(h_of_t, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:
@@ -302,3 +291,25 @@ def reference_final_state(h_of_t, psi0, grid: TimeGrid, refine: int = 100) -> np
         for h in _hamiltonian_stack(h_of_t, t_mid, d):
             psi = scipy.linalg.expm(-1j * h * dt) @ psi
     return psi
+
+
+def reference_lindblad_state(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 oracle for :func:`evolve_lindblad`: plain fixed steps of
+    ``grid.step`` on d rho/dt = -i[H, rho] - R * rho / 2 (R from
+    :meth:`DecoherenceSpec.rates`); returns the final state only."""
+    rho = np.array(check_density_matrix(rho0), dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    d = rho.shape[0]
+    half_rates = 0.5 * dec.rates((d - 1 - 2 * np.arange(d)) / 2)
+
+    def rhs(r):
+        return -1j * (h @ r - r @ h) - half_rates * r
+
+    dt = grid.step
+    for _ in range(grid.n_steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
+        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho

@@ -149,7 +149,7 @@ def husimi_q(
     coh = _coherent_grid(spin, thetas, phis)
     norm = (spin.dimension) / (4 * np.pi)
     if state.ndim == 1:
-        proj = np.einsum("dtp,d->tp", coh.conj(), state)
+        proj = np.einsum("dtp,d->tp", coh, state.conj())  # conj(<coh|psi>)
         values = norm * np.abs(proj) ** 2
     else:
         values = norm * np.einsum("dtp,de,etp->tp", coh.conj(), state, coh).real

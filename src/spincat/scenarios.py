@@ -85,7 +85,7 @@ class ScenarioConfig:
 
     ``params`` carries scenario-specific knobs (sweep ranges, sample counts,
     phase-rule reference frequency, ...); every scenario documents the keys
-    it reads.  ``dt`` overrides the frame-dependent default integrator step.
+    it reads.  ``dt`` overrides the step of lab-frame and ``tact`` runs.
     """
 
     spin: SpinQuantum
@@ -149,6 +149,20 @@ def _finite(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _param(cfg: ScenarioConfig, key: str, default, minimum: int | None = None):
+    """``cfg.params[key]``, or ``default`` when absent.  A count (given a
+    ``minimum``) must be an integer at or above it, any other value a finite
+    real; a bool is neither.  A bad value is an error naming the key."""
+    value = cfg.params.get(key, default)
+    if minimum is None:
+        return _finite(value, f"params.{key}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(
+            f"config key 'params.{key}' must be an integer >= {minimum}, got {value!r}"
+        )
+    return int(value)
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
@@ -263,12 +277,12 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     omega = effective_oat_strength(cfg.quad, spin)
     if omega == 0:
         raise ValueError("effective twisting strength is zero; no OAT dynamics")
-    t_max = cfg.params.get("t_max", np.pi / abs(omega))
-    n_points = int(cfg.params.get("n_points", 1001))
+    t_max = _param(cfg, "t_max", np.pi / abs(omega))
+    n_points = _param(cfg, "n_points", 1001, minimum=2)
     ops = spin_operators(spin)
     h = omega * (ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
-    grid = TimeGrid(0.0, t_max, dt=t_max / (n_points - 1))
+    grid = TimeGrid(0.0, t_max, dt=t_max / (n_points - 1), output_stride=1)
     traj = evolve_unitary(h, psi0, grid)
     tag = cfg.params.get("operator", "y")
     return _neff_series(traj.states, traj.times, _measure_operator(spin, tag), spin, tag)
@@ -295,11 +309,11 @@ def ramsey_cat_protocol(
     t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
     omega_ref = 0.0
     if phase_rule == "rotating":
-        omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
+        omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     if t_values is None:
         omega_eff = effective_oat_strength(cfg.quad, spin)
-        t_max = cfg.params.get("t_max", 2.5 * np.pi / abs(omega_eff))
-        n_points = int(cfg.params.get("n_points", 1251))
+        t_max = _param(cfg, "t_max", 2.5 * np.pi / abs(omega_eff))
+        n_points = _param(cfg, "n_points", 1251, minimum=2)
         t_values = np.linspace(0.0, t_max, n_points)
     t_values = np.asarray(t_values, dtype=float)
     psi0 = eigenstate(spin, spin.i)
@@ -312,7 +326,7 @@ def ramsey_cat_protocol(
             delta_phi = np.pi / 2 + omega_ref * (t + t_half)
             sched = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half)
             h_of_t = _lab_hamiltonian(h_static, cfg.fields, spin, sched.envelope)
-            grid = TimeGrid(0.0, sched.t_end, dt=dt, output_stride=10 ** 9)
+            grid = TimeGrid(0.0, sched.t_end, dt=dt)
             finals.append(evolve_unitary(h_of_t, psi0, grid).final_state)
         return _neff_series(finals, t_values, spin_operators(spin).Iz, spin, "Iz")
     h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
@@ -343,18 +357,13 @@ def _pulse_pair(cfg, ladder, t_half: float, omega_ref: float) -> tuple:
 def _signal_after_gap(rho1, dec: DecoherenceSpec, u2, nu, t_values, spin) -> SizeSeries:
     """N_eff(Iz) after the second pulse, for each gap T, from the state
     ``rho1`` after the first.  Over the gap the jump operators dephase it
-    in closed form, rho_jk(T) = rho_jk exp(-[Gm (m_j-m_k)^2 +
-    Ge (m_j^2-m_k^2)^2] T / 2).  D commutes with Iz, so the measured state
+    in closed form, rho_jk(T) = rho_jk exp(-R_jk T / 2) with the rates R of
+    :meth:`DecoherenceSpec.rates`.  D commutes with Iz, so the measured state
     is U2(0) D^dagger rho(T) D U2(0)^dagger.  The states are built for a
     chunk of T values at a time, ``CHUNK_BYTES`` per stack."""
     if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
         raise ValueError("need at least one gap time, each finite and >= 0")
-    m = spin.m_values
-    rates = (
-        dec.gamma_m * np.subtract.outer(m, m) ** 2
-        + dec.gamma_e * np.subtract.outer(m ** 2, m ** 2) ** 2
-    )
-    generator = -0.5 * rates - 1j * np.subtract.outer(nu, nu)
+    generator = -0.5 * dec.rates(spin.m_values) - 1j * np.subtract.outer(nu, nu)
     u2_dag = u2.conj().T
     iz = spin_operators(spin).Iz
     chunk = max(1, CHUNK_BYTES // generator.nbytes)
@@ -395,8 +404,8 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
     omega_eff = effective_oat_strength(cfg.quad, spin)
     if omega_eff == 0:
         raise ValueError("effective twisting strength is zero; no cat formation")
-    t_wait = cfg.params.get("t_wait", np.pi / (2 * omega_eff))
-    base_phase = cfg.params.get("base_phase", 0.0)
+    t_wait = _param(cfg, "t_wait", np.pi / (2 * omega_eff))
+    base_phase = _param(cfg, "base_phase", 0.0)
     n = spin.twice_i
     freqs = ladder.transition_freqs
     eps = 1.0 / n
@@ -494,13 +503,13 @@ def decoherence_sweep(
     """Collapse-and-revival signal N_eff(Iz)(T) under dephasing.
 
     Cycle structure: the first multi-tone pi/2 pulse evolves under the full
-    Lindblad equation (RK4 at ``pulse_dt``).  Over the gap T the Hamiltonian
-    is zero in the generalized rotating frame and the diagonal jump operators
-    dephase the state in closed form; the second pulse follows the rotating
-    phase rule of :func:`ramsey_cat_protocol` and is the zero-gap pulse
-    conjugated by a diagonal phase.  Params: ``t_max`` (default
-    40 ms), ``n_points`` (default 40001, i.e. 1 us sampling so revivals are
-    resolved), ``pulse_dt`` (default 1 us).
+    Lindblad equation, propagated exactly over the pulse in one step.  Over
+    the gap T the Hamiltonian is zero in the generalized rotating frame and
+    the diagonal jump operators dephase the state in closed form; the second
+    pulse follows the rotating phase rule of :func:`ramsey_cat_protocol` and
+    is the zero-gap pulse conjugated by a diagonal phase.  Params: ``t_max``
+    (default 40 ms), ``n_points`` (default 40001, i.e. 1 us sampling so
+    revivals are resolved), ``phase_reference_omega`` (default gamma*B0).
     """
     if gamma_m_list is None:
         gamma_m_list = [cfg.decoherence.gamma_m]
@@ -516,17 +525,14 @@ def _decoherence_single(cfg: ScenarioConfig, gamma_m: float, gamma_e: float) -> 
     dec = DecoherenceSpec(gamma_m=gamma_m, gamma_e=gamma_e)
     t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
     t_values = np.linspace(
-        0.0, cfg.params.get("t_max", 40e-3), int(cfg.params.get("n_points", 40001))
+        0.0, _param(cfg, "t_max", 40e-3), _param(cfg, "n_points", 40001, minimum=2)
     )
     psi0 = eigenstate(spin, spin.i)
     rho0 = np.outer(psi0, psi0.conj())
 
-    omega_ref = cfg.params.get("phase_reference_omega", cfg.fields.gamma_b0)
+    omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
-    pulse_dt = cfg.params.get("pulse_dt", 1e-6)
-    traj1 = evolve_lindblad(
-        h1, rho0, dec, TimeGrid(0.0, t_half, dt=pulse_dt, output_stride=10 ** 9)
-    )
+    traj1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half))
     series = _signal_after_gap(traj1.final_state, dec, u2, nu, t_values, spin)
     return SweepResult(gamma_m=gamma_m, gamma_e=gamma_e, series=series)
 
@@ -544,14 +550,13 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
 
     For each spin the ideal cat (|I,I> + |I,-I>)/sqrt2 dephases for
     ``params["t_final"]`` (default 1 ms) at rate ``params["gamma_m"]``
-    (default 1 kHz) with H = 0; the result is compared against the closed
-    form (1/2) exp(-Gamma_m (2I)^2 t / 2).
+    (default 1 kHz) with H = 0, propagated exactly in one step; the result
+    is compared against the closed form (1/2) exp(-Gamma_m (2I)^2 t / 2).
     """
     if twice_i_list is None:
         twice_i_list = [1, 3, 5, 7, 9]
-    gamma_m = cfg.params.get("gamma_m", 1000.0)
-    t_final = cfg.params.get("t_final", 1e-3)
-    dt = cfg.params.get("dt", 5e-7)
+    gamma_m = _param(cfg, "gamma_m", 1000.0)
+    t_final = _param(cfg, "t_final", 1e-3)
     dec = DecoherenceSpec(gamma_m=gamma_m, gamma_e=0.0)
     rows = []
     for twice_i in twice_i_list:
@@ -559,7 +564,7 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
         cat = (eigenstate(spin, spin.i) + eigenstate(spin, -spin.i)) / np.sqrt(2)
         rho0 = np.outer(cat, cat.conj())
         d = spin.dimension
-        grid = TimeGrid(0.0, t_final, dt=dt, output_stride=10 ** 9)
+        grid = TimeGrid(0.0, t_final, dt=t_final)
         traj = evolve_lindblad(np.zeros((d, d)), rho0, dec, grid)
         rows.append(
             CoherenceRow(
@@ -622,12 +627,12 @@ def _tact_single(
     quad = replace(cfg.quad, eta=float(eta), euler=tuple(euler))
     fields = replace(cfg.fields, gamma_b0=float(gamma_b0))
     h = static_hamiltonian(fields, quad, spin)
-    t_max = cfg.params.get("t_max", 2 * np.pi / quad.omega_q)
+    t_max = _param(cfg, "t_max", 2 * np.pi / quad.omega_q)
     dt = cfg.dt
     if dt is None:
-        dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / int(cfg.params.get("n_steps", 20000))
+        dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
     grid = TimeGrid(0.0, t_max, dt=dt)
-    stride = max(1, grid.n_steps // int(cfg.params.get("n_output", 4000)))
+    stride = max(1, grid.n_steps // _param(cfg, "n_output", 4000, minimum=1))
     grid = replace(grid, output_stride=stride)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     traj = evolve_unitary(h, psi0, grid)
@@ -662,7 +667,7 @@ class LabValidationResult:
 
 
 def multitone_lab_validation(
-    cfg: ScenarioConfig, scale: float = 20.0, dt: float = 1e-9
+    cfg: ScenarioConfig, scale: float = 20.0, dt: float = LAB_FRAME_DT
 ) -> LabValidationResult:
     """Full-model check of the rotating-wave multi-tone pi/2 rotation.
 
@@ -681,7 +686,7 @@ def multitone_lab_validation(
     seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1
     h_of_t = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
-    grid = TimeGrid(0.0, t_half, dt=dt, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, t_half, dt=dt)
     psi0 = eigenstate(spin, spin.i)
     traj = evolve_unitary(h_of_t, psi0, grid)
     psi_rot = np.exp(1j * ladder.energies * grid.t_end) * traj.final_state

@@ -148,3 +148,40 @@ def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
     rc = main(["decoherence", "--gamma-m", "nan"])
     assert rc == 2
     assert "gamma_m must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, params, key",
+    [
+        (["oat"], {"t_max": "1e-3"}, "'params.t_max'"),
+        (["oat"], {"t_max": float("nan")}, "'params.t_max'"),
+        (["oat"], {"t_max": True}, "'params.t_max'"),
+        (["oat"], {"n_points": 1}, "'params.n_points'"),
+        (["oat"], {"n_points": float("inf")}, "'params.n_points'"),
+        (["decoherence"], {"n_points": 2.7}, "'params.n_points'"),
+        (["ramsey"], {"phase_reference_omega": None}, "'params.phase_reference_omega'"),
+        (["virtual-phase"], {"t_wait": [1e-6]}, "'params.t_wait'"),
+        (["coherence-scaling"], {"gamma_m": "fast"}, "'params.gamma_m'"),
+        (["tact"], {"n_steps": 0}, "'params.n_steps'"),
+        (["tact"], {"n_output": False}, "'params.n_output'"),
+    ],
+)
+def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, key):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"params": params}))
+    rc = main([*argv, "--config", str(path)])
+    assert rc == 2
+    assert f"config key {key} must be" in capsys.readouterr().err
+
+
+def test_lab_check_reads_dt_from_the_config(tmp_path, capsys):
+    path = tmp_path / "dt.json"
+    path.write_text(json.dumps({"dt": 5e-8}))
+    runs = (["--config", str(path)], ["--dt", "5e-8"], [])
+    printed = []
+    for extra in runs:
+        assert main(["lab-check", "--scale", "400", *extra]) == 0
+        printed.append(capsys.readouterr().out.split(";")[0])
+    assert printed[0] == printed[1]
+    assert "219 steps of 49.9" in printed[0]
+    assert "10938 steps of 1.000 ns" in printed[2]

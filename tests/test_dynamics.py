@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from spincat.control import PulseSegment, ToneSpec, rotation_params
@@ -13,8 +14,10 @@ from spincat.dynamics import (
     evolve_unitary,
     propagator,
     reference_final_state,
+    reference_lindblad_state,
 )
 from spincat.hamiltonian import FieldSpec, QuadrupoleSpec, energy_ladder, static_hamiltonian
+from spincat.scenarios import _ladder, _pulse_pair, paper_config
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
 TWO_PI = 2 * np.pi
@@ -32,8 +35,9 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, dt=1e-3)
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 1.0, dt=1e-3, output_stride=0)
+    for stride in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="output_stride must be None or an integer >= 1"):
+            TimeGrid(0.0, 1.0, dt=1e-3, output_stride=stride)
     for field, kwargs in (
         ("dt", dict(dt=np.nan)),
         ("dt", dict(dt=np.inf)),
@@ -45,6 +49,9 @@ def test_time_grid_validation():
     grid = TimeGrid(0.0, 1.0, dt=0.3)
     assert grid.n_steps == 4
     assert grid.step == pytest.approx(0.25)
+    assert grid.sample_steps.tolist() == [0, 4]
+    assert TimeGrid(0.0, 1.0, dt=0.1, output_stride=4).sample_steps.tolist() == [0, 4, 8, 10]
+    assert TimeGrid(0.0, 1.0, dt=0.1, output_stride=1).sample_steps.tolist() == list(range(11))
 
 
 def test_propagator_identity_and_diagonal():
@@ -122,8 +129,8 @@ def test_unitary_self_convergence_time_dependent():
 
     psi0 = eigenstate(spin, 1.5)
     t_end = 2e-6
-    final_a = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=1e-9, output_stride=10 ** 9)).final_state
-    final_b = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=5e-10, output_stride=10 ** 9)).final_state
+    final_a = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=1e-9)).final_state
+    final_b = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=5e-10)).final_state
     assert 1 - fidelity(final_a, final_b) < 1e-8
 
 
@@ -137,7 +144,7 @@ def test_unitary_reference_oracle_agreement():
         )
 
     psi0 = eigenstate(spin, 1.5)
-    grid = TimeGrid(0.0, 1e-6, dt=1e-9, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, 1e-6, dt=1e-9)
     main = evolve_unitary(h_of_t, psi0, grid).final_state
     oracle = reference_final_state(h_of_t, psi0, grid, refine=100)
     assert 1 - fidelity(main, oracle) < 1e-7
@@ -226,7 +233,7 @@ def test_lindblad_closed_system_matches_unitary():
     h = random_hermitian(6, rng) * 1e4
     psi0 = coherent_state(spin, 0.7, 0.3)
     rho0 = np.outer(psi0, psi0.conj())
-    grid = TimeGrid(0.0, 1e-4, dt=1e-7, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, 1e-4, dt=1e-7)
     rho = evolve_lindblad(h, rho0, DecoherenceSpec(), grid).final_state
     psi = evolve_unitary(h, psi0, grid).final_state
     diff = rho - np.outer(psi, psi.conj())
@@ -249,6 +256,90 @@ def test_lindblad_takes_only_a_constant_hamiltonian(h, got):
         evolve_lindblad(h, rho0, DecoherenceSpec(gamma_m=1.0), grid)
 
 
+def trace_distance(a, b):
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum()
+
+
+def first_cat_pulse(twice_i):
+    """The cat protocol's first multi-tone pi/2 pulse in the generalized
+    rotating frame at the paper parameters: the spin, the pulse Hamiltonian
+    and its duration."""
+    cfg = paper_config(twice_i=twice_i)
+    t_half = rotation_params(cfg.spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    h1, _, _ = _pulse_pair(cfg, _ladder(cfg), t_half, cfg.fields.gamma_b0)
+    return cfg.spin, h1, t_half
+
+
+@pytest.mark.parametrize("case", ["cat-pulse-3", "cat-pulse-7", "random-5"])
+def test_lindblad_matches_rk4_reference(case):
+    # RK4's own error at these steps is <= 1e-11 (it falls 16x per halving)
+    dec = DecoherenceSpec(gamma_m=500.0, gamma_e=100.0)
+    if case == "random-5":
+        spin = SpinQuantum(5)
+        h = random_hermitian(6, np.random.default_rng(4)) * 1e4
+        psi0 = coherent_state(spin, 0.7, 0.3)
+        t_end, dt = 1e-4, 1e-7
+    else:
+        spin, h, t_end = first_cat_pulse(int(case[-1]))
+        psi0 = eigenstate(spin, spin.i)
+        dt = 2e-6
+    rho0 = np.outer(psi0, psi0.conj())
+    exact = evolve_lindblad(h, rho0, dec, TimeGrid(0.0, t_end, dt=t_end)).final_state
+    rk4 = reference_lindblad_state(h, rho0, dec, TimeGrid(0.0, t_end, dt=dt))
+    assert trace_distance(exact, rk4) <= 1e-10
+
+
+def test_exact_sampling_off_stride_matches_repeated_one_step_propagators():
+    # 1003 steps at stride 10: 100 stride gaps and a final gap of 3
+    spin = SpinQuantum(3)
+    rng = np.random.default_rng(5)
+    h = random_hermitian(4, rng) * 1e4
+    dec = DecoherenceSpec(gamma_m=300.0, gamma_e=40.0)
+    psi0 = coherent_state(spin, 0.7, 0.3)
+    rho0 = np.outer(psi0, psi0.conj())
+    dt = 1e-6
+    grid = TimeGrid(0.0, 1003 * dt, dt=dt, output_stride=10)
+    assert grid.n_steps == 1003
+    stored = list(range(0, 1001, 10)) + [1003]
+    # one-step maps built independently of the evolvers: the Liouvillian on
+    # the column-major vectorization, vec(A X B) = (B^T (x) A) vec(X)
+    m = spin.m_values
+    ma, mb = np.meshgrid(m, m, indexing="ij")
+    rates = dec.gamma_m * (ma - mb) ** 2 + dec.gamma_e * (ma ** 2 - mb ** 2) ** 2
+    one = np.eye(4)
+    liouvillian = -1j * (np.kron(one, h) - np.kron(h.T, one)) - 0.5 * np.diag(
+        rates.ravel(order="F")
+    )
+    u1 = scipy.linalg.expm(-1j * h * grid.step)
+    p1 = scipy.linalg.expm(liouvillian * grid.step)
+    psi, vec_rho = psi0.astype(complex), rho0.ravel(order="F")
+    psis, rhos = [psi], [rho0]
+    for k in range(1, grid.n_steps + 1):
+        psi, vec_rho = u1 @ psi, p1 @ vec_rho
+        if k in stored:
+            psis.append(psi)
+            rhos.append(vec_rho.reshape(4, 4, order="F"))
+
+    unitary = evolve_unitary(h, psi0, grid)
+    lindblad = evolve_lindblad(h, rho0, dec, grid)
+    expected_times = [grid.t_start + k * grid.step for k in stored]
+    for traj, ref in ((unitary, psis), (lindblad, rhos)):
+        assert traj.times.tolist() == expected_times
+        assert len(traj.states) == len(stored)
+        for state, oracle in zip(traj.states, ref):
+            assert np.max(np.abs(state - oracle)) <= 1e-12
+
+    # the default grid stores the initial and the final state only
+    final_only = TimeGrid(0.0, 1003 * dt, dt=dt)
+    for traj, ref in (
+        (evolve_unitary(h, psi0, final_only), psis),
+        (evolve_lindblad(h, rho0, dec, final_only), rhos),
+    ):
+        assert traj.times.tolist() == [0.0, expected_times[-1]]
+        assert len(traj.states) == 2
+        assert np.max(np.abs(traj.final_state - ref[-1])) <= 1e-12
+
+
 def test_lindblad_elementwise_dephasing_oracle():
     # with H = 0 and diagonal jumps the master equation decouples:
     # rho_ab(t) = rho_ab(0) exp(-[Gm (ma-mb)^2 + Ge (ma^2-mb^2)^2] t / 2)
@@ -259,7 +350,7 @@ def test_lindblad_elementwise_dephasing_oracle():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     gm, ge, t = 300.0, 40.0, 1e-3
-    grid = TimeGrid(0.0, t, dt=1e-6, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, t, dt=1e-6)
     rho = evolve_lindblad(
         np.zeros((6, 6)), rho0, DecoherenceSpec(gamma_m=gm, gamma_e=ge), grid
     ).final_state
@@ -274,7 +365,7 @@ def test_lindblad_cat_dephasing_and_populations():
     cat = (up + down) / np.sqrt(2)
     rho0 = np.outer(cat, cat.conj())
     gm, t = 1000.0, 1e-4
-    grid = TimeGrid(0.0, t, dt=5e-7, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, t, dt=5e-7)
     rho = evolve_lindblad(np.zeros((8, 8)), rho0, DecoherenceSpec(gamma_m=gm), grid).final_state
     expected = 0.5 * np.exp(-gm * 7 ** 2 * t / 2)
     assert abs(rho[0, 7]) == pytest.approx(expected, rel=1e-7)
@@ -288,7 +379,7 @@ def test_lindblad_paper_rates_conservations():
     h = WQ * np.asarray(ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     rho0 = np.outer(psi0, psi0.conj())
-    # RK4 must resolve the twisting phases (|H| ~ wq I^2), hence the 5 ns step
+    # 21 stored samples, 2.5 us apart, each checked in-run as well
     grid = TimeGrid(0.0, 50e-6, dt=5e-9, output_stride=500)
     traj = evolve_lindblad(h, rho0, DecoherenceSpec(gamma_m=10.0, gamma_e=0.1), grid)
     for rho in traj.states:

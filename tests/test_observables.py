@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -211,6 +213,20 @@ def test_husimi_mixed_state_route():
     assert_allclose(mixed_grid.values, pure_grid.values, atol=1e-12)
 
 
+def test_husimi_pure_state_peak_memory_stays_below_one_and_a_half_grids():
+    # the pure path conjugates the d-vector, not a second copy of the grid
+    spin = SpinQuantum(25)
+    n_theta, n_phi = 181, 361
+    grid_bytes = spin.dimension * n_theta * n_phi * 16
+    tracemalloc.start()
+    try:
+        husimi_q(zcat(spin), spin, n_theta=n_theta, n_phi=n_phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * grid_bytes
+
+
 def test_cat_coherence_values():
     spin = SpinQuantum(7)
     rho = np.outer(zcat(spin), zcat(spin).conj())
@@ -222,7 +238,7 @@ def test_cat_coherence_dephasing_decay():
     spin = SpinQuantum(5)
     rho0 = np.outer(zcat(spin), zcat(spin).conj())
     gm, t = 1000.0, 5e-4
-    grid = TimeGrid(0.0, t, dt=5e-7, output_stride=10 ** 9)
+    grid = TimeGrid(0.0, t, dt=5e-7)
     rho = evolve_lindblad(np.zeros((6, 6)), rho0, DecoherenceSpec(gamma_m=gm), grid).final_state
     expected = 0.5 * np.exp(-gm * 5 ** 2 * t / 2)
     assert cat_coherence(rho, spin) == pytest.approx(expected, rel=1e-6)
