@@ -14,10 +14,11 @@ from dataclasses import replace
 import numpy as np
 
 from ._version import __version__
-from .dynamics import LAB_FRAME_DT, IntegrationError, TimeGrid, evolve_unitary
+from .dynamics import LAB_FRAME_DT, IntegrationError
 from .observables import husimi_q, save_husimi, save_size_series
 from .scenarios import (
     ScenarioConfig,
+    _twisted,
     coherence_scaling,
     config_from_dict,
     decoherence_sweep,
@@ -30,7 +31,7 @@ from .scenarios import (
     virtual_phase_cat,
     write_manifest,
 )
-from .spin import coherent_state, spin_operators
+from .spin import coherent_state
 from .hamiltonian import effective_oat_strength
 
 _TWO_PI = 2 * np.pi
@@ -43,8 +44,6 @@ def _load_config(args) -> ScenarioConfig:
     else:
         cfg = paper_config()
     updates = {}
-    if args.frame:
-        updates["frame"] = args.frame
     if args.dt is not None:
         updates["dt"] = args.dt
     if args.out:
@@ -231,16 +230,15 @@ def _cmd_tact(cfg, args) -> int:
 
 def _cmd_husimi(cfg, args) -> int:
     t0 = time.time()
+    if not (np.isfinite(args.time_fraction) and args.time_fraction > 0):
+        raise ValueError(f"--time-fraction must be a finite number > 0, got {args.time_fraction}")
     spin = cfg.spin
     omega = effective_oat_strength(cfg.quad, spin)
     if omega == 0:
         raise ValueError("effective twisting strength is zero; no OAT dynamics")
     t = args.time_fraction * np.pi / abs(omega)
-    ops = spin_operators(spin)
-    h = omega * (ops.Iz @ ops.Iz)
-    psi0 = coherent_state(spin, np.pi / 2, 0.0)
-    traj = evolve_unitary(h, psi0, TimeGrid(0.0, t, dt=t))
-    grid = husimi_q(traj.final_state, spin, n_theta=args.n_theta, n_phi=args.n_phi)
+    state = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, t, spin)
+    grid = husimi_q(state, spin, n_theta=args.n_theta, n_phi=args.n_phi)
     print(
         f"husimi: OAT state at t = {t * 1e6:.3f} us "
         f"({args.time_fraction} of a revival period); sphere integral = "
@@ -282,10 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file mirroring ScenarioConfig")
         p.add_argument("--out", help="output directory for tables and manifest")
-        p.add_argument(
-            "--frame", choices=["lab", "rotating", "effective"], help="frame override"
-        )
-        p.add_argument("--dt", type=float, help="integrator step override (seconds)")
+        p.add_argument("--dt", type=float, help="integrator step of lab-check and tact (seconds)")
 
     p = sub.add_parser("oat", help="free-evolution twisting: N_eff(t)")
     common(p)

@@ -132,10 +132,6 @@ class PulseSchedule:
     def t_end(self) -> float:
         return self.segments[-1].t_end if self.segments else 0.0
 
-    @property
-    def total_pulse_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
     def envelope(self, t):
         """Drive amplitude at time(s) ``t``: the sum of the segments' envelopes."""
         t = np.asarray(t, dtype=float)

@@ -89,9 +89,6 @@ class EnergyLadder:
     energies: np.ndarray
     transition_freqs: np.ndarray
 
-    def energy_of_m(self, m: float) -> float:
-        return float(self.energies[self.spin.index_of_m(m)])
-
 
 def quadrupole_strength(q_n: float, v_zz: float, spin: SpinQuantum) -> float:
     """Quadrupole coupling 3 e q_n V_z'z' / (4 I (2I-1) hbar) in rad/s.

@@ -142,7 +142,13 @@ def husimi_q(
     n_theta: int = 181,
     n_phi: int = 361,
 ) -> HusimiGrid:
-    """Husimi Q(theta, phi) = (2I+1)/(4 pi) <coh(theta,phi)| rho |coh(theta,phi)>."""
+    """Husimi Q(theta, phi) = (2I+1)/(4 pi) <coh(theta,phi)| rho |coh(theta,phi)>.
+
+    Each axis needs at least 2 points, or the grid spans no area and its
+    sphere integral is meaningless."""
+    for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
+        if n < 2:
+            raise ValueError(f"husimi grid size {name} must be >= 2, got {n}")
     state = np.asarray(state)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)

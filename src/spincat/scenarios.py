@@ -4,9 +4,11 @@ baseline, decoherence sweeps, coherence-vs-dimension scaling and the
 twisting-conversion comparison.
 
 Every scenario is deterministic given its config.  Collapse-and-revival
-reproductions run in the generalized rotating frame by default; lab-frame
-validation modes integrate the full time-dependent Hamiltonian and check the
-rotating-wave predictions against it.
+reproductions run in the generalized rotating frame, where free evolution is
+the identity, and one-axis twisting, whose Hamiltonian is diagonal, evolves in
+closed form.  :func:`multitone_lab_validation` (``spincat lab-check``)
+integrates the full time-dependent Hamiltonian over one pulse and checks the
+rotating-wave model against it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from ._version import __version__
 from .control import (
@@ -40,6 +41,7 @@ from .dynamics import (
     Trajectory,
     evolve_lindblad,
     evolve_unitary,
+    propagator,
 )
 from .hamiltonian import (
     EnergyLadder,
@@ -76,7 +78,8 @@ __all__ = [
 
 _TWO_PI = 2 * np.pi
 
-FRAMES = ("lab", "rotating", "effective")
+#: ``params`` times that set the length of a span; each must be > 0.
+_SPAN_KEYS = ("t_max", "t_final")
 
 
 @dataclass(frozen=True)
@@ -85,21 +88,17 @@ class ScenarioConfig:
 
     ``params`` carries scenario-specific knobs (sweep ranges, sample counts,
     phase-rule reference frequency, ...); every scenario documents the keys
-    it reads.  ``dt`` overrides the step of lab-frame and ``tact`` runs.
+    it reads.  ``dt`` overrides the integrator step of ``tact`` runs and of
+    ``spincat lab-check``.
     """
 
     spin: SpinQuantum
     fields: FieldSpec
     quad: QuadrupoleSpec
     decoherence: DecoherenceSpec = DecoherenceSpec()
-    frame: str = "effective"
     dt: float | None = None
     params: dict = field(default_factory=dict)
     output_dir: str | None = None
-
-    def __post_init__(self):
-        if self.frame not in FRAMES:
-            raise ValueError(f"frame must be one of {FRAMES}, got {self.frame!r}")
 
 
 def paper_config(twice_i: int = 7, **overrides) -> ScenarioConfig:
@@ -136,7 +135,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "gamma_m_per_s": cfg.decoherence.gamma_m,
             "gamma_e_per_s": cfg.decoherence.gamma_e,
         },
-        "frame": cfg.frame,
         "dt": cfg.dt,
         "params": cfg.params,
         "output_dir": cfg.output_dir,
@@ -154,10 +152,14 @@ def _finite(value, key: str) -> float:
 def _param(cfg: ScenarioConfig, key: str, default, minimum: int | None = None):
     """``cfg.params[key]``, or ``default`` when absent.  A count (given a
     ``minimum``) must be an integer at or above it, any other value a finite
-    real; a bool is neither.  A bad value is an error naming the key."""
+    real (> 0 for the span lengths ``_SPAN_KEYS``); a bool is neither.  A bad
+    value is an error naming the key."""
     value = cfg.params.get(key, default)
     if minimum is None:
-        return _finite(value, f"params.{key}")
+        value = _finite(value, f"params.{key}")
+        if key in _SPAN_KEYS and value <= 0:
+            raise ValueError(f"config key 'params.{key}' must be > 0, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(
             f"config key 'params.{key}' must be an integer >= {minimum}, got {value!r}"
@@ -224,7 +226,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         fields=fields,
         quad=quad,
         decoherence=dec,
-        frame=doc.get("frame", "effective"),
         dt=None if dt is None else _finite(dt, "dt"),
         params=doc.get("params", {}),
         output_dir=output_dir,
@@ -256,8 +257,11 @@ def _uniform_tones(freqs, eps, phi):
     return tuple(ToneSpec(float(w), eps, float(p)) for w, p in zip(freqs, np.broadcast_to(phi, len(freqs))))
 
 
-def _pulse_unitary(h_rot: np.ndarray, duration: float) -> np.ndarray:
-    return scipy.linalg.expm(-1j * h_rot * duration)
+def _twisted(psi: np.ndarray, omega: float, t, spin: SpinQuantum) -> np.ndarray:
+    """``psi`` after one-axis twisting H = omega Iz^2 for time ``t``.  H is
+    diagonal, so each amplitude gains the phase exp(-i omega t m^2) exactly;
+    an array of k times gives a (k, d) stack of states."""
+    return np.exp(-1j * np.multiply.outer(np.multiply(t, omega), spin.m_values ** 2)) * psi
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +274,9 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
 
     N_eff (measured with Iy by default; ``params["operator"]`` overrides)
     peaks at 2I at t = pi/(2 omega_q_eff) and returns to 1 at the revival
-    t = pi/omega_q_eff.  Params: ``t_max`` (default one revival period),
+    t = pi/omega_q_eff.  H = omega_q_eff Iz^2 is diagonal, so every sample
+    is the closed form psi(t) = psi(0) exp(-i omega_q_eff t m^2), with no
+    time stepping.  Params: ``t_max`` (default one revival period),
     ``n_points`` (default 1001).
     """
     spin = cfg.spin
@@ -278,14 +284,10 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     if omega == 0:
         raise ValueError("effective twisting strength is zero; no OAT dynamics")
     t_max = _param(cfg, "t_max", np.pi / abs(omega))
-    n_points = _param(cfg, "n_points", 1001, minimum=2)
-    ops = spin_operators(spin)
-    h = omega * (ops.Iz @ ops.Iz)
-    psi0 = coherent_state(spin, np.pi / 2, 0.0)
-    grid = TimeGrid(0.0, t_max, dt=t_max / (n_points - 1), output_stride=1)
-    traj = evolve_unitary(h, psi0, grid)
+    times = np.linspace(0.0, t_max, _param(cfg, "n_points", 1001, minimum=2))
+    states = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
     tag = cfg.params.get("operator", "y")
-    return _neff_series(traj.states, traj.times, _measure_operator(spin, tag), spin, tag)
+    return _neff_series(states, times, _measure_operator(spin, tag), spin, tag)
 
 
 def ramsey_cat_protocol(
@@ -298,41 +300,20 @@ def ramsey_cat_protocol(
     frame phase accumulated up to the second pulse's start, exposing the
     clean collapse-and-revival of period pi/omega_q_eff.  The reference
     frequency defaults to gamma*B0 (``params["phase_reference_omega"]``).
-    In the rotating and effective frames the signal is the zero-rate case of
-    :func:`decoherence_sweep`; the lab frame integrates the full schedule
-    for every T.
+    The signal is the zero-rate case of :func:`decoherence_sweep`: the same
+    protocol, run in the generalized rotating frame.  Params: ``t_max``
+    (default 2.5 revival periods), ``n_points`` (default 1251).
     """
     if phase_rule not in ("fixed", "rotating"):
         raise ValueError(f"phase_rule must be 'fixed' or 'rotating', got {phase_rule!r}")
-    spin = cfg.spin
-    ladder = _ladder(cfg)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
     omega_ref = 0.0
     if phase_rule == "rotating":
         omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     if t_values is None:
-        omega_eff = effective_oat_strength(cfg.quad, spin)
+        omega_eff = effective_oat_strength(cfg.quad, cfg.spin)
         t_max = _param(cfg, "t_max", 2.5 * np.pi / abs(omega_eff))
-        n_points = _param(cfg, "n_points", 1251, minimum=2)
-        t_values = np.linspace(0.0, t_max, n_points)
-    t_values = np.asarray(t_values, dtype=float)
-    psi0 = eigenstate(spin, spin.i)
-
-    if cfg.frame == "lab":
-        h_static = static_hamiltonian(cfg.fields, cfg.quad, spin)
-        dt = LAB_FRAME_DT if cfg.dt is None else cfg.dt
-        finals = []
-        for t in t_values:
-            delta_phi = np.pi / 2 + omega_ref * (t + t_half)
-            sched = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half)
-            h_of_t = _lab_hamiltonian(h_static, cfg.fields, spin, sched.envelope)
-            grid = TimeGrid(0.0, sched.t_end, dt=dt)
-            finals.append(evolve_unitary(h_of_t, psi0, grid).final_state)
-        return _neff_series(finals, t_values, spin_operators(spin).Iz, spin, "Iz")
-    h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
-    psi1 = _pulse_unitary(h1, t_half) @ psi0
-    rho1 = np.outer(psi1, psi1.conj())
-    return _signal_after_gap(rho1, DecoherenceSpec(), u2, nu, t_values, spin)
+        t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
+    return _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
 
 
 def _pulse_pair(cfg, ladder, t_half: float, omega_ref: float) -> tuple:
@@ -351,18 +332,28 @@ def _pulse_pair(cfg, ladder, t_half: float, omega_ref: float) -> tuple:
         for seg in sched.segments
     )
     nu = omega_ref * np.arange(cfg.spin.dimension) + ladder.energies
-    return h1, _pulse_unitary(h2, t_half), nu
+    return h1, propagator(h2, t_half), nu
 
 
-def _signal_after_gap(rho1, dec: DecoherenceSpec, u2, nu, t_values, spin) -> SizeSeries:
-    """N_eff(Iz) after the second pulse, for each gap T, from the state
-    ``rho1`` after the first.  Over the gap the jump operators dephase it
+def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSeries:
+    """N_eff(Iz) of the cat protocol under the dephasing ``dec``, for each
+    gap T in ``t_values``, with the pulses of :func:`_pulse_pair`.
+
+    |I,I> passes the first pulse under the Lindblad equation, propagated
+    exactly in one step.  Over the gap the jump operators dephase the state
     in closed form, rho_jk(T) = rho_jk exp(-R_jk T / 2) with the rates R of
     :meth:`DecoherenceSpec.rates`.  D commutes with Iz, so the measured state
     is U2(0) D^dagger rho(T) D U2(0)^dagger.  The states are built for a
     chunk of T values at a time, ``CHUNK_BYTES`` per stack."""
+    t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
         raise ValueError("need at least one gap time, each finite and >= 0")
+    spin = cfg.spin
+    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    h1, u2, nu = _pulse_pair(cfg, _ladder(cfg), t_half, omega_ref)
+    psi0 = eigenstate(spin, spin.i)
+    rho0 = np.outer(psi0, psi0.conj())
+    rho1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
     generator = -0.5 * dec.rates(spin.m_values) - 1j * np.subtract.outer(nu, nu)
     u2_dag = u2.conj().T
     iz = spin_operators(spin).Iz
@@ -413,13 +404,13 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
 
     shifts = oat_equivalent_phase_shifts(t_wait, omega_eff, spin)
     phases_base = np.full(n, base_phase)
-    u_base = _pulse_unitary(
+    u_base = propagator(
         rotating_frame_hamiltonian(
             _uniform_tones(freqs, eps, phases_base), spin, cfg.fields.gamma_b1, ladder
         ),
         t_half,
     )
-    u_shifted = _pulse_unitary(
+    u_shifted = propagator(
         rotating_frame_hamiltonian(
             _uniform_tones(freqs, eps, phases_base + shifts),
             spin, cfg.fields.gamma_b1, ladder,
@@ -431,8 +422,7 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
     final = u_base @ mid
 
     # reference: uniform-phase pulses with the twisting applied for real
-    twist = np.exp(-1j * t_wait * omega_eff * spin.m_values ** 2)
-    reference = u_base @ (twist * (u_base @ psi0))
+    reference = u_base @ _twisted(u_base @ psi0, omega_eff, t_wait, spin)
 
     traj = Trajectory(
         times=np.array([0.0, t_half, 2 * t_half]), states=np.array([psi0, mid, final])
@@ -472,7 +462,7 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     states = [psi]
     for seg in sched.segments:
         h_rot = rotating_frame_hamiltonian(seg.tones, spin, cfg.fields.gamma_b1, ladder)
-        psi = _pulse_unitary(h_rot, seg.duration) @ psi
+        psi = propagator(h_rot, seg.duration) @ psi
         times.append(seg.t_end)
         states.append(psi)
     pop_top = abs(psi[0]) ** 2
@@ -515,26 +505,14 @@ def decoherence_sweep(
         gamma_m_list = [cfg.decoherence.gamma_m]
     if gamma_e_list is None:
         gamma_e_list = [cfg.decoherence.gamma_e]
-    combos = list(itertools.product(gamma_m_list, gamma_e_list))
-    return [_decoherence_single(cfg, gm, ge) for gm, ge in combos]
-
-
-def _decoherence_single(cfg: ScenarioConfig, gamma_m: float, gamma_e: float) -> SweepResult:
-    spin = cfg.spin
-    ladder = _ladder(cfg)
-    dec = DecoherenceSpec(gamma_m=gamma_m, gamma_e=gamma_e)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
     t_values = np.linspace(
         0.0, _param(cfg, "t_max", 40e-3), _param(cfg, "n_points", 40001, minimum=2)
     )
-    psi0 = eigenstate(spin, spin.i)
-    rho0 = np.outer(psi0, psi0.conj())
-
     omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
-    h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
-    traj1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half))
-    series = _signal_after_gap(traj1.final_state, dec, u2, nu, t_values, spin)
-    return SweepResult(gamma_m=gamma_m, gamma_e=gamma_e, series=series)
+    return [
+        SweepResult(gm, ge, _cat_signal(cfg, DecoherenceSpec(gm, ge), omega_ref, t_values))
+        for gm, ge in itertools.product(gamma_m_list, gamma_e_list)
+    ]
 
 
 @dataclass
@@ -627,7 +605,15 @@ def _tact_single(
     quad = replace(cfg.quad, eta=float(eta), euler=tuple(euler))
     fields = replace(cfg.fields, gamma_b0=float(gamma_b0))
     h = static_hamiltonian(fields, quad, spin)
-    t_max = _param(cfg, "t_max", 2 * np.pi / quad.omega_q)
+    if "t_max" in cfg.params:
+        t_max = _param(cfg, "t_max", None)
+    elif quad.omega_q > 0:
+        t_max = 2 * np.pi / quad.omega_q
+    else:
+        raise ValueError(
+            "config key 'quadrupole.omega_q_hz' is 0, so the default "
+            "params.t_max = 1 / omega_q_hz is undefined; set params.t_max"
+        )
     dt = cfg.dt
     if dt is None:
         dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
@@ -692,7 +678,7 @@ def multitone_lab_validation(
     psi_rot = np.exp(1j * ladder.energies * grid.t_end) * traj.final_state
 
     h_rot = segment_rotating_hamiltonian(seg, spin, gamma_b1, ladder, fields.drive_axis)
-    psi_model = _pulse_unitary(h_rot, t_half) @ psi0
+    psi_model = propagator(h_rot, t_half) @ psi0
     azimuth = 0.0 if fields.drive_axis == "y" else -np.pi / 2
     psi_ideal = coherent_state(spin, np.pi / 2, azimuth)
     return LabValidationResult(

@@ -59,7 +59,14 @@ def test_invalid_config_is_a_diagnostic_exit(tmp_path, capsys):
     path.write_text(json.dumps({"frame": "heliocentric"}))
     rc = main(["oat", "--config", str(path)])
     assert rc == 2
-    assert "error" in capsys.readouterr().err
+    assert "unknown config key 'frame'" in capsys.readouterr().err
+
+
+def test_frame_flag_is_not_accepted(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ramsey", "--frame", "lab"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frame lab" in capsys.readouterr().err
 
 
 def test_husimi_command(tmp_path, capsys):
@@ -164,6 +171,9 @@ def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
         (["coherence-scaling"], {"gamma_m": "fast"}, "'params.gamma_m'"),
         (["tact"], {"n_steps": 0}, "'params.n_steps'"),
         (["tact"], {"n_output": False}, "'params.n_output'"),
+        (["oat"], {"t_max": 0}, "'params.t_max'"),
+        (["coherence-scaling"], {"t_final": -1e-3}, "'params.t_final'"),
+        (["ramsey"], {"t_max": -1e-3}, "'params.t_max'"),
     ],
 )
 def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, key):
@@ -172,6 +182,41 @@ def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, k
     rc = main([*argv, "--config", str(path)])
     assert rc == 2
     assert f"config key {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["0", "nan"])
+def test_husimi_time_fraction_must_be_positive(capsys, fraction):
+    rc = main(["husimi", "--time-fraction", fraction])
+    assert rc == 2
+    assert "--time-fraction must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, name",
+    [
+        (["--n-theta", "0"], "n_theta"),
+        (["--n-theta", "1", "--n-phi", "1"], "n_theta"),
+        (["--n-phi", "0"], "n_phi"),
+        (["--n-phi", "1"], "n_phi"),
+    ],
+)
+def test_husimi_grid_must_span_the_sphere(capsys, grid, name):
+    rc = main(["husimi", *grid])
+    assert rc == 2
+    assert f"husimi grid size {name} must be >= 2" in capsys.readouterr().err
+
+
+def test_tact_without_quadrupole_needs_t_max(tmp_path, capsys):
+    path = tmp_path / "no_quad.json"
+    path.write_text(json.dumps({"quadrupole": {"omega_q_hz": 0}}))
+    rc = main(["tact", "--config", str(path)])
+    assert rc == 2
+    assert "'quadrupole.omega_q_hz' is 0" in capsys.readouterr().err
+    # with an explicit span the Zeeman-only run is well defined
+    path.write_text(json.dumps(
+        {"quadrupole": {"omega_q_hz": 0}, "params": {"t_max": 1e-6, "n_output": 10}}
+    ))
+    assert main(["tact", "--config", str(path), "--eta", "0", "--b0-hz", "0"]) == 0
 
 
 def test_lab_check_reads_dt_from_the_config(tmp_path, capsys):

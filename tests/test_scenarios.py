@@ -14,10 +14,22 @@ from spincat.control import (
     rotation_params,
     segment_rotating_hamiltonian,
 )
-from spincat.dynamics import CHUNK_BYTES, DecoherenceSpec, TimeGrid, evolve_lindblad
-from spincat.hamiltonian import QuadrupoleSpec, energy_ladder, static_hamiltonian
+from spincat.dynamics import (
+    CHUNK_BYTES,
+    DecoherenceSpec,
+    TimeGrid,
+    evolve_lindblad,
+    evolve_unitary,
+)
+from spincat.hamiltonian import (
+    QuadrupoleSpec,
+    effective_oat_strength,
+    energy_ladder,
+    static_hamiltonian,
+)
 from spincat.observables import effective_size, revival_peaks
 from spincat.scenarios import (
+    _twisted,
     coherence_scaling,
     config_from_dict,
     config_to_dict,
@@ -30,7 +42,7 @@ from spincat.scenarios import (
     virtual_phase_cat,
     write_manifest,
 )
-from spincat.spin import SpinQuantum, eigenstate, fidelity, spin_operators
+from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
 TWO_PI = 2 * np.pi
 
@@ -63,6 +75,28 @@ def test_oat_requires_twisting():
     cfg = paper_config(quad=QuadrupoleSpec(omega_q=0.0))
     with pytest.raises(ValueError):
         oat_free_evolution(cfg)
+
+
+@pytest.mark.parametrize("twice_i", [7, 25])
+def test_oat_closed_form_matches_stepped_evolution(twice_i):
+    # the closed form psi0 exp(-i omega t m^2) against exact propagation of
+    # H = omega Iz^2 on the grid the scenario used to step
+    cfg = paper_config(twice_i=twice_i, params={"n_points": 401})
+    spin = cfg.spin
+    omega = effective_oat_strength(cfg.quad, spin)
+    t_max = np.pi / abs(omega)
+    iz = spin_operators(spin).Iz
+    grid = TimeGrid(0.0, t_max, dt=t_max / 400, output_stride=1)
+    stepped = evolve_unitary(omega * iz @ iz, coherent_state(spin, np.pi / 2, 0.0), grid)
+    times = np.linspace(0.0, t_max, 401)
+    closed = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
+    assert np.max(np.abs(times - stepped.times)) <= 1e-18
+    assert np.max(np.abs(closed - stepped.states)) <= 1e-12
+    series = oat_free_evolution(cfg)
+    assert np.array_equal(series.times, times)
+    iy = spin_operators(spin).Iy
+    expected = [effective_size(psi, iy, spin) for psi in stepped.states]
+    assert np.max(np.abs(series.values - expected)) <= 1e-12
 
 
 def test_ramsey_rotating_rule_revivals():
@@ -187,7 +221,7 @@ def test_gap_sweeps_reject_bad_gap_times():
     cfg = paper_config(twice_i=3)
     with pytest.raises(ValueError, match="gap time"):
         ramsey_cat_protocol(cfg, t_values=[0.0, -1e-6])
-    with pytest.raises(ValueError, match="gap time"):
+    with pytest.raises(ValueError, match="'params.t_max' must be > 0"):
         decoherence_sweep(replace(cfg, params={"t_max": -1e-3}))
     with pytest.raises(ValueError, match="'params.n_points' must be an integer >= 2"):
         decoherence_sweep(replace(cfg, params={"n_points": 0}))
@@ -323,8 +357,3 @@ def test_scenarios_are_deterministic():
     b = oat_free_evolution(cfg)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.times, b.times)
-
-
-def test_invalid_frame_rejected():
-    with pytest.raises(ValueError):
-        paper_config(frame="heliocentric")
