@@ -43,6 +43,7 @@ from .dynamics import (
     DecoherenceSpec,
     TimeGrid,
     Trajectory,
+    Drive,
     propagator,
     evolve_unitary,
     evolve_lindblad,

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import LAB_FRAME_DT, IntegrationError
-from .observables import husimi_q, save_husimi, save_size_series
+from .observables import _write_table, husimi_q, save_husimi, save_size_series
 from .scenarios import (
     ScenarioConfig,
     _twisted,
@@ -186,10 +186,12 @@ def _cmd_coherence_scaling(cfg, args) -> int:
         )
     out = _ensure_out(cfg)
     if out:
-        with open(os.path.join(out, "coherence_vs_dimension.csv"), "w") as fh:
-            fh.write("# twice_i,dimension,coherence,analytic\n")
-            for row in rows:
-                fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")
+        _write_table(
+            os.path.join(out, "coherence_vs_dimension.csv"),
+            ["twice_i,dimension,coherence,analytic"],
+            [f"{row.twice_i},{row.dimension}" for row in rows],
+            [[row.coherence, row.analytic] for row in rows],
+        )
     _finish(cfg, "coherence-scaling", t0)
     return 0
 

@@ -2,20 +2,24 @@
 
 A constant generator (-iH, or the Lindblad Liouvillian) is propagated
 exactly from one stored sample to the next, one matrix exponential per
-distinct gap.  A time-dependent H uses a piecewise-constant midpoint rule,
-exp(-i H(t_mid) dt) per step, built and exponentiated (one batched
-Hermitian eigensolve) a chunk of steps at a time.  Both evolvers check
-their conservation laws (norm, trace, positivity) at every stored sample.
+distinct gap.  A time-dependent H is a :class:`Drive`,
+H(t) = h0 + f(t) x with |f| <= 1, stepped by the midpoint rule
+exp(-i H(t_mid) dt).  Every such step map is one polynomial in the scalar
+c = f(t_mid), sum_j c^j M_j; its coefficients come once per run from one
+exponential of a block-bidiagonal matrix, and the maps between two stored
+samples are multiplied pairwise, each product taken one Newton-Schulz step
+toward unitarity.  Both evolvers check their conservation laws (norm,
+trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
-callable that maps a 1-D array of k midpoint times to a (k, d, d) stack of
-matrices, one per time; any other shape is rejected.  The Lindblad evolver
-takes only a constant (d, d) matrix.  The dense oracles are for tests.
+:class:`Drive`.  The Lindblad evolver takes only a constant (d, d) matrix.
+The dense oracles are for tests.
 """
 
 from __future__ import annotations
 
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ __all__ = [
     "DecoherenceSpec",
     "TimeGrid",
     "Trajectory",
+    "Drive",
     "propagator",
     "evolve_unitary",
     "evolve_lindblad",
@@ -43,10 +48,18 @@ NORM_ABORT_TOL = 1e-6
 TRACE_ABORT_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-7
 
-#: Size of one chunk's stack of complex step Hamiltonians in evolve_unitary:
-#: 256 steps at d = 8, 1024 at d = 4.  Larger chunks buy little speed and
-#: grow the peak memory of long lab-frame runs.
+#: Size of one chunk's stack of complex step maps in evolve_unitary: 256
+#: steps at d = 8, 1024 at d = 4.  Larger chunks buy little speed and grow
+#: the peak memory of long lab-frame runs.
 CHUNK_BYTES = 256 * 1024
+
+#: Bound on the truncated tail of the step-map polynomial in the drive
+#: amplitude; the degree is the smallest that meets it (see evolve_unitary).
+TAYLOR_TAIL_TOL = 1e-18
+
+#: Rounding allowance on |f| <= 1 for a drive envelope (PulseSegment allows
+#: its summed tone amplitudes the same).
+ENVELOPE_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -134,6 +147,20 @@ class Trajectory:
         return self.states[-1]
 
 
+@dataclass(frozen=True, eq=False)
+class Drive:
+    """Time-dependent Hamiltonian H(t) = h0 + envelope(t) x.
+
+    ``h0`` and ``x`` are Hermitian (d, d) matrices; ``envelope`` maps a 1-D
+    array of times to the drive amplitude at each, finite with |f| <= 1
+    (a :meth:`PulseSegment.envelope`, for one).
+    """
+
+    h0: np.ndarray
+    x: np.ndarray
+    envelope: Callable
+
+
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """Unitary short-time propagator exp(-i H dt) for Hermitian H."""
     h = np.asarray(h)
@@ -147,38 +174,79 @@ def _chunk_steps(d: int) -> int:
     return max(1, CHUNK_BYTES // (16 * d * d))
 
 
-def _hamiltonian_stack(h_of_t, t: np.ndarray, d: int) -> np.ndarray:
-    """Evaluate a callable Hamiltonian source at the midpoint times ``t``."""
-    h = np.asarray(h_of_t(t))
-    shape = (t.size, d, d)
-    if h.shape != shape:
+def _drive_terms(drive: Drive, d: int) -> tuple:
+    """h0 and x of a drive as complex (d, d) arrays, each checked Hermitian."""
+    terms = []
+    for name in ("h0", "x"):
+        a = np.asarray(getattr(drive, name), dtype=complex)
+        if a.shape != (d, d):
+            raise ValueError(f"drive.{name} must have shape {(d, d)}, got shape {a.shape}")
+        if not is_hermitian(a):
+            raise ValueError(f"drive.{name} is not Hermitian")
+        terms.append(a)
+    return tuple(terms)
+
+
+def _envelope_values(drive: Drive, t: np.ndarray) -> np.ndarray:
+    """The drive envelope at the midpoint times ``t``, checked finite with
+    |f| <= 1 (the bound the step-map polynomial is truncated for)."""
+    f = np.asarray(drive.envelope(t), dtype=float)
+    if f.shape != t.shape:
         raise ValueError(
-            f"h_of_t must map {t.size} times to an array of shape {shape}, "
-            f"got shape {h.shape}"
+            f"drive.envelope must map {t.size} times to shape {t.shape}, got {f.shape}"
         )
-    return h
-
-
-def _step_propagators(h: np.ndarray, t: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H_k dt) for a stack of Hamiltonians sampled at times ``t``,
-    as V diag(exp(-i lambda dt)) V^dagger from one batched eigensolve."""
-    ok = is_hermitian(h)
+    ok = np.abs(f) <= 1.0 + ENVELOPE_TOL  # False for NaN
     if not ok.all():
-        bad = float(t[np.argmin(ok)])
-        raise ValueError(f"Hamiltonian is not Hermitian at t = {bad}")
-    lam, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * dt * lam)[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    # eigh's eigenvectors are orthonormal only up to a biased rounding error:
-    # over 1e5 steps the norm drifts ~100x further than with per-step expm,
-    # and printed infidelities carry twice that drift.  One Newton-Schulz step
-    # toward the nearest unitary removes most of it; the form
-    # 1.5 U - 0.5 U U^dagger U matters (U (3 - U^dagger U) / 2 rounds with a
-    # bias of its own).
-    corr = u @ (u.conj().swapaxes(-1, -2) @ u)
-    corr *= 0.5
-    u *= 1.5
-    u -= corr
-    return u
+        i = int(np.argmin(ok))
+        raise ValueError(f"drive envelope is {f[i]} at t = {float(t[i])}; need finite |f| <= 1")
+    return f
+
+
+def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
+    """M_0 ... M_p, flattened to (p + 1, d*d), with
+    exp(-i (h0 + c x) dt) = sum_j c^j M_j + O(tail) for |c| <= 1.
+
+    With a = ||x||_2 dt, ||M_j|| <= a^j / j! (the Dyson series of a unitary
+    flow), so the tail past degree p is at most a^(p+1) / (p+1)! e^a; p is
+    the smallest degree for which that is <= ``TAYLOR_TAIL_TOL``.  The M_j
+    are the first block row of the exponential of the (p+1)-block
+    bidiagonal matrix with A = -i h0 dt on the diagonal and B = -i x dt
+    above it (Van Loan 1978; Najfeld & Havel 1995).
+    """
+    a = float(np.linalg.norm(x, 2)) * dt
+    if a > 1.0:
+        raise ValueError(
+            f"drive step ||x||_2 dt = {a:.3g} > 1: the step-map series grows "
+            f"before it converges; reduce dt (currently {dt})"
+        )
+    p, term = 0, a
+    while term * np.exp(a) > TAYLOR_TAIL_TOL:
+        p += 1
+        term *= a / (p + 1)
+    d = h0.shape[0]
+    blocks = np.zeros((p + 1, d, p + 1, d), dtype=complex)
+    for j in range(p + 1):
+        blocks[j, :, j] = -1j * dt * h0
+        if j < p:
+            blocks[j, :, j + 1] = -1j * dt * x
+    e = scipy.linalg.expm(blocks.reshape((p + 1) * d, (p + 1) * d))
+    return e[:d].reshape(d, p + 1, d).transpose(1, 0, 2).reshape(p + 1, d * d)
+
+
+def _run_map(u: np.ndarray) -> np.ndarray:
+    """u[-1] @ ... @ u[0] for a (k, d, d) stack of step maps, multiplied
+    pairwise in ceil(log2 k) batched matmuls, then taken one Newton-Schulz
+    step toward the nearest unitary."""
+    while len(u) > 1:
+        odd = u[-1:] if len(u) % 2 else u[:0]
+        u = np.concatenate((u[1::2] @ u[0:-1:2], odd))
+    u = u[0]
+    # Every step map carries the same rounded M_0, whose fixed unitarity
+    # defect (~1e-17 a step) adds up coherently: over lab-check's 175 000
+    # steps the norm drifts by +-3e-12, its sign set by how M_0 happens to
+    # round.  The Newton-Schulz step 1.5 U - 0.5 U U^dagger U cancels the
+    # accumulated defect once per run and leaves ~1e-15.
+    return 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
 
 
 def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> list:
@@ -192,36 +260,56 @@ def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -
     return xs
 
 
-def evolve_unitary(h_of_t, psi0, grid: TimeGrid) -> Trajectory:
+def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate the Schroedinger equation over the grid.
 
-    ``h_of_t`` is either a constant (d, d) Hermitian matrix, propagated
-    exactly from one stored sample to the next, or a callable that maps a
-    1-D array of k step-midpoint times to a (k, d, d) stack of Hermitian
-    matrices.  A callable is evaluated for chunks of consecutive steps at
-    once (``CHUNK_BYTES`` per stack).  The state norm is checked at every
-    stored sample; a drift beyond 1e-6 aborts.
+    ``h`` is either a constant (d, d) Hermitian matrix, propagated exactly
+    from one stored sample to the next, or a :class:`Drive`
+    H(t) = h0 + f(t) x, stepped by the midpoint rule exp(-i H(t_mid) dt).
+
+    For a drive, h0 and x are checked Hermitian once, and the step map is
+    the polynomial sum_j c^j M_j in c = f(t_mid): its coefficients come from
+    one matrix exponential per call, and its degree p is the smallest with
+    a^(p+1) / (p+1)! e^a <= 1e-18, a = ||x||_2 dt (4 for lab-check at
+    1 ns; more at coarser steps).  A step with a > 1 is refused.  The
+    envelope is evaluated a chunk of steps at a time (``CHUNK_BYTES`` of
+    maps), and must be finite with |f| <= 1.  The maps between two stored
+    samples are multiplied pairwise, and their product is taken one
+    Newton-Schulz step toward unitarity before it acts on the state, so the
+    state takes one matrix-vector product per stored sample and chunk.
+
+    The state norm is checked at every stored sample; a drift beyond 1e-6
+    aborts.
     """
     psi = np.array(check_pure_state(psi0), dtype=complex)
     dt = grid.step
     steps = grid.sample_steps
 
-    if callable(h_of_t):
+    if isinstance(h, Drive):
         d = psi.size
+        h0, x = _drive_terms(h, d)
+        coeffs = _step_map_coefficients(h0, x, dt)
+        powers = np.arange(len(coeffs))
         n = grid.n_steps
         chunk = _chunk_steps(d)
-        stored = set(steps.tolist())
         states = [psi]
         for k0 in range(0, n, chunk):
-            t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
-            u_chunk = _step_propagators(_hamiltonian_stack(h_of_t, t_mid, d), t_mid, dt)
-            for k, u in enumerate(u_chunk, start=k0 + 1):
-                psi = u @ psi
-                if k in stored:
-                    states.append(psi)
+            k1 = min(k0 + chunk, n)
+            t_mid = grid.t_start + (np.arange(k0, k1) + 0.5) * dt
+            c = _envelope_values(h, t_mid)
+            maps = (np.power.outer(c, powers) @ coeffs).reshape(-1, d, d)
+            # runs of maps ending at each stored step inside the chunk
+            cuts = steps[(steps > k0) & (steps <= k1)] - k0
+            start = 0
+            for cut in cuts.tolist():
+                psi = _run_map(maps[start:cut]) @ psi
+                states.append(psi)
+                start = cut
+            if start < k1 - k0:
+                psi = _run_map(maps[start:]) @ psi
         hint = f"; reduce dt (currently {dt})"
     else:
-        h = np.asarray(h_of_t, dtype=complex)
+        h = np.asarray(h, dtype=complex)
         if not is_hermitian(h):
             raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
         states = _sample_exact(-1j * h, psi, steps, dt)
@@ -267,29 +355,30 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     return Trajectory(times=times, states=states)
 
 
-def reference_final_state(h_of_t, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:
+def reference_final_state(h, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:
     """Dense brute-force unitary oracle: plain midpoint stepping at dt/refine.
 
-    Serves as the independent check on production runs: every step gets its
-    own ``scipy.linalg.expm``, never the constant-Hamiltonian shortcut or the
-    batched eigensolve, and only the final state is returned.  A callable
-    ``h_of_t`` is evaluated for chunks of consecutive midpoints.
+    Serves as the independent check on production runs: every step of a
+    :class:`Drive` gets its own ``scipy.linalg.expm`` of h0 + f(t_mid) x,
+    never the constant-Hamiltonian shortcut or the step-map polynomial, and
+    only the final state is returned.  A constant ``h`` has one step map,
+    applied at every step.
     """
     psi = np.array(check_pure_state(psi0), dtype=complex)
     d = psi.size
-    if not callable(h_of_t):
-        h_const = np.asarray(h_of_t, dtype=complex)
-
-        def h_of_t(t):
-            return np.broadcast_to(h_const, (t.size, d, d))
-
     n = grid.n_steps * refine
     dt = grid.span / n
+    if not isinstance(h, Drive):
+        u = scipy.linalg.expm(-1j * np.asarray(h, dtype=complex) * dt)
+        for _ in range(n):
+            psi = u @ psi
+        return psi
+    h0, x = _drive_terms(h, d)
     chunk = _chunk_steps(d)
     for k0 in range(0, n, chunk):
         t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
-        for h in _hamiltonian_stack(h_of_t, t_mid, d):
-            psi = scipy.linalg.expm(-1j * h * dt) @ psi
+        for c in np.asarray(h.envelope(t_mid), dtype=float).tolist():
+            psi = scipy.linalg.expm(-1j * (h0 + c * x) * dt) @ psi
     return psi
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .control import (
+    RESONANCE_RTOL,
     PulseSchedule,
     ToneSpec,
     cat_schedule,
@@ -37,6 +38,7 @@ from .dynamics import (
     CHUNK_BYTES,
     LAB_FRAME_DT,
     DecoherenceSpec,
+    Drive,
     TimeGrid,
     Trajectory,
     evolve_lindblad,
@@ -311,7 +313,19 @@ def ramsey_cat_protocol(
         omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     if t_values is None:
         omega_eff = effective_oat_strength(cfg.quad, cfg.spin)
-        t_max = _param(cfg, "t_max", 2.5 * np.pi / abs(omega_eff))
+        if "t_max" in cfg.params:
+            t_max = _param(cfg, "t_max", None)
+        elif omega_eff != 0:
+            t_max = 2.5 * np.pi / abs(omega_eff)
+        else:
+            key, value = (
+                ("spin.twice_i", cfg.spin.twice_i) if cfg.spin.twice_i < 2
+                else ("quadrupole.omega_q_hz", 0)
+            )
+            raise ValueError(
+                f"config key '{key}' is {value}, so there is no twisting and the "
+                "default params.t_max = 2.5 pi / omega_q_eff is undefined; set params.t_max"
+            )
         t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
     return _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
 
@@ -365,10 +379,10 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     return SizeSeries(times=t_values, values=np.concatenate(vals), operator_tag="Iz")
 
 
-def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope):
-    """H_static + gamma_B1 envelope(t) I_axis, mapping k times to (k, d, d)."""
+def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope) -> Drive:
+    """The lab-frame drive H_static + gamma_B1 envelope(t) I_axis."""
     axis_op = _measure_operator(spin, fields.drive_axis)
-    return lambda t: h_static + np.multiply.outer(fields.gamma_b1 * envelope(t), axis_op)
+    return Drive(h_static, fields.gamma_b1 * np.asarray(axis_op), envelope)
 
 
 @dataclass
@@ -456,6 +470,13 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     """
     spin = cfg.spin
     ladder = _ladder(cfg)
+    freqs = np.sort(ladder.transition_freqs)
+    if np.any(np.diff(freqs) <= RESONANCE_RTOL * np.max(np.abs(freqs))):
+        raise ValueError(
+            f"config key 'quadrupole.omega_q_hz' = {cfg.quad.omega_q / (2 * np.pi):g} "
+            "leaves two transition frequencies equal within RESONANCE_RTOL, so a "
+            "selective pulse cannot address one transition"
+        )
     sched = givens_schedule(spin, cfg.fields.gamma_b1, ladder, mode)
     psi = eigenstate(spin, spin.i).astype(complex)
     times = [0.0]
@@ -671,10 +692,10 @@ def multitone_lab_validation(
     t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
     seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1
-    h_of_t = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
+    drive = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
     grid = TimeGrid(0.0, t_half, dt=dt)
     psi0 = eigenstate(spin, spin.i)
-    traj = evolve_unitary(h_of_t, psi0, grid)
+    traj = evolve_unitary(drive, psi0, grid)
     psi_rot = np.exp(1j * ladder.energies * grid.t_end) * traj.final_state
 
     h_rot = segment_rotating_hamiltonian(seg, spin, gamma_b1, ladder, fields.drive_axis)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spincat.cli import main
+from spincat.scenarios import coherence_scaling, paper_config
 
 
 def test_oat_command_writes_tables(tmp_path, capsys):
@@ -219,6 +220,39 @@ def test_tact_without_quadrupole_needs_t_max(tmp_path, capsys):
     assert main(["tact", "--config", str(path), "--eta", "0", "--b0-hz", "0"]) == 0
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"spin": {"twice_i": 1}}, "config key 'spin.twice_i' is 1"),
+        ({"quadrupole": {"omega_q_hz": 0}}, "config key 'quadrupole.omega_q_hz' is 0"),
+    ],
+)
+def test_ramsey_without_twisting_needs_t_max(tmp_path, capsys, doc, key):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ramsey", "--config", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    path.write_text(json.dumps({**doc, "params": {"t_max": 1e-4, "n_points": 11}}))
+    assert main(["ramsey", "--config", str(path)]) == 0
+    assert "over 11 points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["create", "collapse"])
+def test_givens_rejects_a_degenerate_ladder(tmp_path, capsys, mode):
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"quadrupole": {"omega_q_hz": 0}}))
+    assert main(["givens", "--mode", mode, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'quadrupole.omega_q_hz' = 0 leaves two transition frequencies" in err
+
+
+def test_lab_check_rejects_a_step_beyond_the_drive_series(capsys):
+    # at scale 20, ||gamma_B1 Iy||_2 = 3.5e5 rad/s: 10 us steps give 3.5
+    assert main(["lab-check", "--dt", "1e-5"]) == 2
+    err = capsys.readouterr().err
+    assert "||x||_2 dt = 3.5 > 1" in err and "reduce dt" in err
+
+
 def test_lab_check_reads_dt_from_the_config(tmp_path, capsys):
     path = tmp_path / "dt.json"
     path.write_text(json.dumps({"dt": 5e-8}))
@@ -230,3 +264,14 @@ def test_lab_check_reads_dt_from_the_config(tmp_path, capsys):
     assert printed[0] == printed[1]
     assert "219 steps of 49.9" in printed[0]
     assert "10938 steps of 1.000 ns" in printed[2]
+
+
+def test_coherence_table_matches_the_row_by_row_bytes(tmp_path, capsys):
+    assert main(["coherence-scaling", "--spins", "1", "3", "7", "--out", str(tmp_path)]) == 0
+    # the row-by-row writer the command had before the shared table writer
+    oracle = tmp_path / "old.csv"
+    with open(oracle, "w") as fh:
+        fh.write("# twice_i,dimension,coherence,analytic\n")
+        for row in coherence_scaling(paper_config(), [1, 3, 7]):
+            fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")
+    assert (tmp_path / "coherence_vs_dimension.csv").read_bytes() == oracle.read_bytes()

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from numpy.testing import assert_allclose
 from spincat.control import PulseSegment, ToneSpec, rotation_params
 from spincat.dynamics import (
     DecoherenceSpec,
+    Drive,
     TimeGrid,
     _chunk_steps,
+    _step_map_coefficients,
     evolve_lindblad,
     evolve_unitary,
     propagator,
@@ -121,45 +124,39 @@ def test_unitary_self_convergence_time_dependent():
     # halving dt changes the final state by far less than the oracle budget
     spin = SpinQuantum(3)
     ops = spin_operators(spin)
-    h0 = GB0 * np.asarray(ops.Iz)
-    drive = TWO_PI * 50e3
-
-    def h_of_t(t):
-        return h0 + np.multiply.outer(drive * np.cos(GB0 * t), ops.Ix)
-
+    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 50e3 * np.asarray(ops.Ix),
+                  lambda t: np.cos(GB0 * t))
     psi0 = eigenstate(spin, 1.5)
     t_end = 2e-6
-    final_a = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=1e-9)).final_state
-    final_b = evolve_unitary(h_of_t, psi0, TimeGrid(0.0, t_end, dt=5e-10)).final_state
+    final_a = evolve_unitary(drive, psi0, TimeGrid(0.0, t_end, dt=1e-9)).final_state
+    final_b = evolve_unitary(drive, psi0, TimeGrid(0.0, t_end, dt=5e-10)).final_state
     assert 1 - fidelity(final_a, final_b) < 1e-8
 
 
 def test_unitary_reference_oracle_agreement():
     spin = SpinQuantum(3)
     ops = spin_operators(spin)
-
-    def h_of_t(t):
-        return GB0 * np.asarray(ops.Iz) + np.multiply.outer(
-            TWO_PI * 100e3 * np.cos(GB0 * t), ops.Ix
-        )
-
+    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 100e3 * np.asarray(ops.Ix),
+                  lambda t: np.cos(GB0 * t))
     psi0 = eigenstate(spin, 1.5)
     grid = TimeGrid(0.0, 1e-6, dt=1e-9)
-    main = evolve_unitary(h_of_t, psi0, grid).final_state
-    oracle = reference_final_state(h_of_t, psi0, grid, refine=100)
+    main = evolve_unitary(drive, psi0, grid).final_state
+    oracle = reference_final_state(drive, psi0, grid, refine=100)
     assert 1 - fidelity(main, oracle) < 1e-7
 
 
-def test_unitary_rejects_non_hermitian_callable():
+def test_unitary_rejects_non_hermitian_drive():
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        evolve_unitary(
-            lambda t: np.broadcast_to(bad, (t.size, 2, 2)), psi0, TimeGrid(0.0, 1.0, dt=0.5)
-        )
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for term, drive in (
+        ("h0", Drive(skew, np.eye(2), np.cos)),
+        ("x", Drive(np.eye(2), skew, np.cos)),
+    ):
+        with pytest.raises(ValueError, match=f"drive.{term} is not Hermitian"):
+            evolve_unitary(drive, psi0, TimeGrid(0.0, 1.0, dt=0.5))
 
 
-def lab_check_hamiltonian(twice_i=7, scale=25.0):
+def lab_check_drive(twice_i=7, scale=25.0):
     """The lab-check drive: paper fields with gamma*B1 and omega_q scaled
     together, one equal-amplitude tone per transition, driven along y."""
     spin = SpinQuantum(twice_i)
@@ -172,59 +169,140 @@ def lab_check_hamiltonian(twice_i=7, scale=25.0):
         t_start=0.0,
         t_end=t_half,
     )
-    axis_op = np.asarray(spin_operators(spin).Iy)
-
-    def h_of_t(t):
-        return h_static + np.multiply.outer(fields.gamma_b1 * seg.envelope(t), axis_op)
-
-    return spin, h_of_t
+    x = fields.gamma_b1 * np.asarray(spin_operators(spin).Iy)
+    return spin, Drive(h_static, x, seg.envelope), t_half
 
 
 def test_chunked_unitary_matches_per_step_oracle():
     # reference_final_state(refine=1) is the same midpoint rule with one
-    # scipy expm per step; the chunked eigh path must reproduce it
-    spin, h_of_t = lab_check_hamiltonian()
+    # scipy expm per step; the step-map polynomial must reproduce it
+    spin, drive, _ = lab_check_drive()
     n_steps, stride = 20003, 1000
     chunk = _chunk_steps(spin.dimension)
     assert n_steps % chunk and stride % chunk
     grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
     assert grid.n_steps == n_steps
     psi0 = eigenstate(spin, spin.i)
-    traj = evolve_unitary(h_of_t, psi0, grid)
-    oracle = reference_final_state(h_of_t, psi0, grid, refine=1)
+    traj = evolve_unitary(drive, psi0, grid)
+    oracle = reference_final_state(drive, psi0, grid, refine=1)
     assert np.linalg.norm(traj.final_state - oracle) <= 1e-10
-    # per-step expm drifts ~3e-14 here; eigh without the unitary correction
-    # drifts 1.6e-12, which moves printed lab-check infidelities
+    # per-step expm drifts ~3e-14 here; the products without their
+    # Newton-Schulz step drift -3.1e-13, which moves printed infidelities
     assert abs(np.linalg.norm(traj.final_state) - 1.0) <= 3e-13
     expected = [grid.t_start + j * stride * grid.step for j in range(n_steps // stride + 1)]
     expected.append(grid.t_start + n_steps * grid.step)
     assert traj.times.tolist() == expected
 
 
-def test_unitary_rejects_wrong_callable_shape():
-    spin, h_of_t = lab_check_hamiltonian()
-    psi0 = eigenstate(spin, spin.i)
-    grid = TimeGrid(0.0, 1e-6, dt=1e-9)
-    with pytest.raises(ValueError, match=re.escape("shape (256, 8, 8)")):
-        evolve_unitary(lambda t: h_of_t(t[:1])[0], psi0, grid)
+def test_unitary_rejects_wrong_drive_shape():
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    for h0, x, envelope, message in (
+        (np.eye(3), np.eye(2), np.cos, "drive.h0 must have shape (2, 2), got shape (3, 3)"),
+        (np.eye(2), np.eye(2)[None], np.cos, "drive.x must have shape (2, 2), got shape (1, 2, 2)"),
+        (np.eye(2), np.eye(2), lambda t: 0.5, "must map 2 times to shape (2,), got ()"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evolve_unitary(Drive(h0, x, envelope), psi0, TimeGrid(0.0, 1.0, dt=0.5))
 
 
-def test_unitary_names_first_non_hermitian_midpoint():
-    spin, h_of_t = lab_check_hamiltonian()
+def test_unitary_names_first_bad_envelope_midpoint():
+    spin, drive, _ = lab_check_drive()
     chunk = _chunk_steps(spin.dimension)
     grid = TimeGrid(0.0, 3 * chunk * 1e-9, dt=1e-9)
     k_bad = chunk + 37  # in the second chunk
     t_bad = grid.t_start + (k_bad + 0.5) * grid.step
-    skew = np.zeros((spin.dimension, spin.dimension))
-    skew[0, 1] = 1e3
+    for bad in (np.nan, np.inf, -np.inf, 1.5, -1.0 - 1e-9):
 
-    def h_bad(t):
-        h = h_of_t(t)
-        h[t >= t_bad] += skew
-        return h
+        def envelope(t):
+            return np.where(t >= t_bad, bad, drive.envelope(t))
 
-    with pytest.raises(ValueError, match=re.escape(f"not Hermitian at t = {t_bad}")):
-        evolve_unitary(h_bad, eigenstate(spin, spin.i), grid)
+        with pytest.raises(ValueError, match=re.escape(f"is {bad} at t = {t_bad}; need finite")):
+            evolve_unitary(replace(drive, envelope=envelope), eigenstate(spin, spin.i), grid)
+
+
+def test_unitary_allows_envelope_rounding_beyond_one():
+    spin = SpinQuantum(1)
+    ops = spin_operators(spin)
+    drive = Drive(np.zeros((2, 2)), np.asarray(ops.Ix), lambda t: np.full(t.shape, 1 + 1e-13))
+    psi = evolve_unitary(drive, eigenstate(spin, 0.5), TimeGrid(0.0, 1.0, dt=0.5)).final_state
+    assert abs(psi[1]) ** 2 == pytest.approx(np.sin(0.5 * (1 + 1e-13)) ** 2, rel=1e-12)
+
+
+def test_unitary_refuses_a_drive_step_beyond_the_series_radius():
+    # ||x||_2 dt = 1.2 > 1: the Taylor terms in the drive grow before they shrink
+    spin = SpinQuantum(1)
+    drive = Drive(np.zeros((2, 2)), 2.4 * np.asarray(spin_operators(spin).Ix), np.cos)
+    with pytest.raises(ValueError, match=re.escape("reduce dt (currently 1.0)")):
+        evolve_unitary(drive, eigenstate(spin, 0.5), TimeGrid(0.0, 2.0, dt=1.0))
+
+
+def test_coarse_drive_grid_takes_a_higher_degree_and_matches_the_oracle():
+    # 100 ns steps: ||x||_2 dt = 0.044, so the tail bound needs p = 9
+    spin, drive, t_half = lab_check_drive()
+    grid = TimeGrid(0.0, t_half, dt=1e-7)
+    h0, x = np.asarray(drive.h0, dtype=complex), np.asarray(drive.x, dtype=complex)
+    assert len(_step_map_coefficients(h0, x, grid.step)) - 1 == 9
+    assert len(_step_map_coefficients(h0, x, 1e-9)) - 1 == 4
+    psi0 = eigenstate(spin, spin.i)
+    main = evolve_unitary(drive, psi0, grid).final_state
+    oracle = reference_final_state(drive, psi0, grid, refine=1)
+    assert np.linalg.norm(main - oracle) <= 2e-12  # 5.2e-13 measured
+
+
+@pytest.mark.parametrize("stride", [1, 100, 256, 512, 700])
+def test_drive_samples_match_per_step_expm_at_every_stride(stride):
+    # 700 steps over chunks of 256: strides land inside chunks, on chunk
+    # edges, on both, and only at the end
+    spin, drive, _ = lab_check_drive()
+    chunk = _chunk_steps(spin.dimension)
+    assert chunk == 256
+    grid = TimeGrid(0.0, 700e-9, dt=1e-9, output_stride=stride)
+    psi0 = eigenstate(spin, spin.i)
+    traj = evolve_unitary(drive, psi0, grid)
+    h0, x = np.asarray(drive.h0), np.asarray(drive.x)
+    t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
+    psis = [psi0.astype(complex)]
+    for c in drive.envelope(t_mid):
+        psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
+    steps = grid.sample_steps
+    assert traj.times.tolist() == (grid.t_start + steps * grid.step).tolist()
+    assert len(traj.states) == len(steps)
+    for state, k in zip(traj.states, steps):
+        assert np.linalg.norm(state - psis[k]) <= 1e-12
+
+
+def test_step_map_coefficients_match_mpmath_expm():
+    # 30-digit oracle independent of scipy and LAPACK, at 2I = 3
+    import mpmath
+
+    spin, drive, _ = lab_check_drive(twice_i=3)
+    d, dt = spin.dimension, 1e-9
+    h0, x = np.asarray(drive.h0, dtype=complex), np.asarray(drive.x, dtype=complex)
+    coeffs = _step_map_coefficients(h0, x, dt)
+    p = len(coeffs) - 1
+    assert p == 4
+    with mpmath.workdps(30):
+        a = mpmath.matrix((-1j * dt * h0).tolist())
+        b = mpmath.matrix((-1j * dt * x).tolist())
+        block = mpmath.zeros((p + 1) * d)
+        for j in range(p + 1):
+            for r in range(d):
+                for s in range(d):
+                    block[j * d + r, j * d + s] = a[r, s]
+                    if j < p:
+                        block[j * d + r, (j + 1) * d + s] = b[r, s]
+        e = mpmath.expm(block)
+        exact = np.array(
+            [[complex(e[r, j * d + s]) for r in range(d) for s in range(d)] for j in range(p + 1)]
+        )
+        # the truncated polynomial against exp(-i (h0 + c x) dt) itself
+        for c in (-1.0, 0.37, 1.0):
+            u = mpmath.expm(a + c * b)
+            u = np.array([[complex(u[r, s]) for s in range(d)] for r in range(d)])
+            poly = (np.power.outer(c, np.arange(p + 1)) @ coeffs).reshape(d, d)
+            # one ulp at |u_rs| ~ 1, plus the 1e-18 tail bound
+            assert np.max(np.abs(poly - u)) <= 2.3e-16
+    assert np.max(np.abs(coeffs - exact)) <= 2.3e-16
 
 
 def test_lindblad_closed_system_matches_unitary():

@@ -303,3 +303,42 @@ def test_serialization_round_trips(tmp_path):
     )
     assert data.shape == (11 * 21, 3)
     assert_allclose(data[:, 2].reshape(11, 21), grid.values, rtol=0, atol=0)
+
+
+def _row_by_row_size_series(series, path, header_extra=""):
+    # the writer save_size_series had before the shared table writer
+    with open(path, "w") as fh:
+        fh.write(f"# operator: {series.operator_tag}\n")
+        if header_extra:
+            fh.write(f"# {header_extra}\n")
+        fh.write("# t,N_eff\n")
+        for t, v in zip(series.times, series.values):
+            fh.write(f"{float(t)!r},{float(v)!r}\n")
+
+
+def _row_by_row_husimi(grid, path, header_extra=""):
+    with open(path, "w") as fh:
+        fh.write(f"# twice_i: {grid.spin.twice_i}\n")
+        fh.write(f"# convention: {grid.convention}\n")
+        if header_extra:
+            fh.write(f"# {header_extra}\n")
+        fh.write("# theta_rad,phi_rad,Q\n")
+        for theta, phi, q in grid.to_table():
+            fh.write(f"{float(theta)!r},{float(phi)!r},{float(q)!r}\n")
+
+
+@pytest.mark.parametrize("header_extra", ["", "gamma_m_per_s: 10.0, gamma_e_per_s: 0.1"])
+def test_table_writers_match_the_row_by_row_bytes(tmp_path, header_extra):
+    rng = np.random.default_rng(7)
+    # values that repr differently: integers, tiny and huge magnitudes, 0.1
+    times = np.concatenate([[0.0, 0.1, 1e-300, 3], rng.uniform(0, 1e-3, 200)])
+    series = SizeSeries(times=times, values=rng.normal(size=times.size) * 1e12, operator_tag="Iy")
+    spin = SpinQuantum(7)
+    grid = husimi_q(coherent_state(spin, 1.1, 0.4), spin, n_theta=19, n_phi=37)
+    for write, oracle, table in (
+        (save_size_series, _row_by_row_size_series, series),
+        (save_husimi, _row_by_row_husimi, grid),
+    ):
+        write(table, tmp_path / "new.csv", header_extra=header_extra)
+        oracle(table, tmp_path / "old.csv", header_extra=header_extra)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
