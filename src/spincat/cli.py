@@ -19,6 +19,7 @@ from .observables import _write_table, husimi_q, save_husimi, save_size_series
 from .scenarios import (
     ScenarioConfig,
     _twisted,
+    _twisting,
     coherence_scaling,
     config_from_dict,
     decoherence_sweep,
@@ -32,7 +33,6 @@ from .scenarios import (
     write_manifest,
 )
 from .spin import coherent_state
-from .hamiltonian import effective_oat_strength
 
 _TWO_PI = 2 * np.pi
 
@@ -44,7 +44,7 @@ def _load_config(args) -> ScenarioConfig:
     else:
         cfg = paper_config()
     updates = {}
-    if args.dt is not None:
+    if getattr(args, "dt", None) is not None:
         updates["dt"] = args.dt
     if args.out:
         updates["output_dir"] = args.out
@@ -53,59 +53,36 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
-def _ensure_out(cfg) -> str | None:
-    if cfg.output_dir:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        return cfg.output_dir
-    return None
-
-
-def _finish(cfg, scenario, t0, extras=None):
-    out = _ensure_out(cfg)
-    if out:
-        write_manifest(out, scenario, cfg, time.time() - t0, extras)
-
-
-def _cmd_oat(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_oat(cfg, args, out) -> None:
     series = oat_free_evolution(cfg)
     print(
         f"oat: peak N_eff = {series.peak:.4f} at t = {series.peak_time * 1e6:.3f} us; "
         f"final N_eff = {series.values[-1]:.4f}"
     )
-    out = _ensure_out(cfg)
     if out:
         save_size_series(series, os.path.join(out, "oat_neff.csv"))
-    _finish(cfg, "oat", t0)
-    return 0
 
 
-def _cmd_ramsey(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_ramsey(cfg, args, out) -> None:
     series = ramsey_cat_protocol(cfg, phase_rule=args.phase_rule)
     print(
         f"ramsey ({args.phase_rule}): peak N_eff = {series.peak:.4f} "
         f"at T = {series.peak_time * 1e6:.3f} us over {len(series.times)} points"
     )
-    out = _ensure_out(cfg)
     if out:
         save_size_series(
             series,
             os.path.join(out, f"ramsey_neff_{args.phase_rule}.csv"),
             header_extra=f"phase_rule: {args.phase_rule}",
         )
-    _finish(cfg, "ramsey", t0, {"phase_rule": args.phase_rule})
-    return 0
 
 
-def _cmd_virtual_phase(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_virtual_phase(cfg, args, out) -> None:
     result = virtual_phase_cat(cfg)
     print(
         f"virtual-phase: fidelity vs free-evolution cat = {result.fidelity:.9f}; "
         f"phase increments (rad) = {np.round(result.phase_increments, 6).tolist()}"
     )
-    out = _ensure_out(cfg)
     if out:
         with open(os.path.join(out, "virtual_phase_report.json"), "w") as fh:
             json.dump(
@@ -121,12 +98,9 @@ def _cmd_virtual_phase(cfg, args) -> int:
             husimi_q(result.final_state, cfg.spin),
             os.path.join(out, "virtual_phase_husimi.csv"),
         )
-    _finish(cfg, "virtual-phase", t0)
-    return 0
 
 
-def _cmd_givens(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_givens(cfg, args, out) -> None:
     result = givens_baseline(cfg, mode=args.mode)
     print(
         f"givens ({args.mode}): {len(result.schedule.segments)} pulses, "
@@ -136,7 +110,6 @@ def _cmd_givens(cfg, args) -> int:
         f"{result.edge_populations[1]:.6f}); "
         f"fidelity to |I,-I> = {result.end_fidelity:.6f}"
     )
-    out = _ensure_out(cfg)
     if out:
         with open(os.path.join(out, f"givens_{args.mode}_report.json"), "w") as fh:
             json.dump(
@@ -151,15 +124,10 @@ def _cmd_givens(cfg, args) -> int:
                 fh,
                 indent=2,
             )
-    _finish(cfg, "givens", t0, {"mode": args.mode})
-    return 0
 
 
-def _cmd_decoherence(cfg, args) -> int:
-    t0 = time.time()
-    results = decoherence_sweep(cfg, args.gamma_m, args.gamma_e)
-    out = _ensure_out(cfg)
-    for res in results:
+def _cmd_decoherence(cfg, args, out) -> None:
+    for res in decoherence_sweep(cfg, args.gamma_m, args.gamma_e):
         print(
             f"decoherence Gamma_m={res.gamma_m}/s Gamma_e={res.gamma_e}/s: "
             f"first-peak N_eff = {res.series.peak:.4f}, "
@@ -172,19 +140,15 @@ def _cmd_decoherence(cfg, args) -> int:
                 os.path.join(out, name),
                 header_extra=f"gamma_m_per_s: {res.gamma_m}, gamma_e_per_s: {res.gamma_e}",
             )
-    _finish(cfg, "decoherence", t0, {"gamma_m": args.gamma_m, "gamma_e": args.gamma_e})
-    return 0
 
 
-def _cmd_coherence_scaling(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_coherence_scaling(cfg, args, out) -> None:
     rows = coherence_scaling(cfg, args.spins)
     for row in rows:
         print(
             f"coherence-scaling 2I={row.twice_i} (d={row.dimension}): "
             f"|rho_I,-I| = {row.coherence:.6e} (analytic {row.analytic:.6e})"
         )
-    out = _ensure_out(cfg)
     if out:
         _write_table(
             os.path.join(out, "coherence_vs_dimension.csv"),
@@ -192,20 +156,16 @@ def _cmd_coherence_scaling(cfg, args) -> int:
             [f"{row.twice_i},{row.dimension}" for row in rows],
             [[row.coherence, row.analytic] for row in rows],
         )
-    _finish(cfg, "coherence-scaling", t0)
-    return 0
 
 
-def _cmd_tact(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_tact(cfg, args, out) -> None:
     results = tact_oat_comparison(
         cfg,
         eta_list=args.eta,
         b0_list=[b * _TWO_PI for b in args.b0_hz] if args.b0_hz else None,
         include_corner=args.corner,
-        with_husimi=bool(cfg.output_dir),
+        with_husimi=bool(out),
     )
-    out = _ensure_out(cfg)
     for res in results:
         label = f"eta{res.eta:g}_b0{res.gamma_b0 / _TWO_PI:g}Hz"
         if res.euler != cfg.quad.euler:
@@ -222,22 +182,13 @@ def _cmd_tact(cfg, args) -> int:
             )
             if res.husimi is not None:
                 save_husimi(res.husimi, os.path.join(out, f"tact_{label}_husimi.csv"))
-    _finish(
-        cfg, "tact", t0,
-        {"eta": args.eta, "b0_hz": args.b0_hz, "corner": args.corner,
-         "note": "lab-frame free evolution; N_eff in the frame co-rotating at gamma*B0"},
-    )
-    return 0
 
 
-def _cmd_husimi(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_husimi(cfg, args, out) -> None:
     if not (np.isfinite(args.time_fraction) and args.time_fraction > 0):
         raise ValueError(f"--time-fraction must be a finite number > 0, got {args.time_fraction}")
     spin = cfg.spin
-    omega = effective_oat_strength(cfg.quad, spin)
-    if omega == 0:
-        raise ValueError("effective twisting strength is zero; no OAT dynamics")
+    omega = _twisting(cfg)
     t = args.time_fraction * np.pi / abs(omega)
     state = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, t, spin)
     grid = husimi_q(state, spin, n_theta=args.n_theta, n_phi=args.n_phi)
@@ -246,19 +197,15 @@ def _cmd_husimi(cfg, args) -> int:
         f"({args.time_fraction} of a revival period); sphere integral = "
         f"{grid.integral():.6f}"
     )
-    out = _ensure_out(cfg)
     if out:
         save_husimi(
             grid,
             os.path.join(out, f"husimi_f{args.time_fraction:g}.csv"),
             header_extra=f"oat_time_s: {t}",
         )
-    _finish(cfg, "husimi", t0, {"time_fraction": args.time_fraction})
-    return 0
 
 
-def _cmd_lab_check(cfg, args) -> int:
-    t0 = time.time()
+def _cmd_lab_check(cfg, args, out) -> None:
     dt = LAB_FRAME_DT if cfg.dt is None else cfg.dt
     result = multitone_lab_validation(cfg, scale=args.scale, dt=dt)
     print(
@@ -267,8 +214,6 @@ def _cmd_lab_check(cfg, args) -> int:
         f"{result.infidelity_vs_model:.3e}, vs ideal coherent state = "
         f"{result.infidelity_vs_ideal:.3e}"
     )
-    _finish(cfg, "lab-check", t0, {"scale": args.scale})
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file mirroring ScenarioConfig")
         p.add_argument("--out", help="output directory for tables and manifest")
-        p.add_argument("--dt", type=float, help="integrator step of lab-check and tact (seconds)")
 
     p = sub.add_parser("oat", help="free-evolution twisting: N_eff(t)")
     common(p)
@@ -318,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, nargs="+", help="asymmetry values")
     p.add_argument("--b0-hz", type=float, nargs="+", help="gamma*B0 values in Hz")
     p.add_argument("--corner", action="store_true", help="add the eta=0, mu=pi/2 case")
+    p.add_argument("--dt", type=float, help="integrator step (s); overrides the config's dt")
     p.set_defaults(func=_cmd_tact)
 
     p = sub.add_parser("husimi", help="Husimi Q table of the OAT state")
@@ -332,17 +277,35 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scale", type=float, default=20.0,
                    help="joint scale factor on gamma*B1 and omega_q")
+    p.add_argument("--dt", type=float, help="integrator step (s); overrides the config's dt")
     p.set_defaults(func=_cmd_lab_check)
 
     return parser
 
 
+#: Namespace entries that are not subcommand flags, or that the manifest's
+#: config echo already records.
+_NOT_EXTRAS = ("command", "func", "config", "out", "dt")
+
+
 def main(argv=None) -> int:
+    """Run one subcommand.  With an output directory (``--out`` or the
+    config's ``output_dir``) the directory is created before the scenario
+    runs, and a manifest follows its tables: the config echo, the wall time
+    and, under ``extras``, every other flag, so the run replays from it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        return args.func(cfg, args)
+        t0 = time.time()
+        out = cfg.output_dir
+        if out:
+            os.makedirs(out, exist_ok=True)
+        args.func(cfg, args, out)
+        if out:
+            extras = {k: v for k, v in vars(args).items() if k not in _NOT_EXTRAS}
+            write_manifest(out, args.command, cfg, time.time() - t0, extras)
+        return 0
     except (ValueError, IntegrationError, OSError) as exc:
         print(f"spincat: error: {exc}", file=sys.stderr)
         return 2

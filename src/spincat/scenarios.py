@@ -40,7 +40,6 @@ from .dynamics import (
     DecoherenceSpec,
     Drive,
     TimeGrid,
-    Trajectory,
     evolve_lindblad,
     evolve_unitary,
     propagator,
@@ -247,7 +246,34 @@ def _measure_operator(spin: SpinQuantum, tag: str) -> np.ndarray:
 
 
 def _ladder(cfg: ScenarioConfig) -> EnergyLadder:
-    return energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, cfg.spin), cfg.spin)
+    """The static ladder of ``cfg``.  A tone is mapped to the nearest
+    transition, so two transitions at one frequency (within
+    ``RESONANCE_RTOL``) is an error naming ``quadrupole.omega_q_hz``: no tone
+    could address one of them alone."""
+    ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, cfg.spin), cfg.spin)
+    freqs = np.sort(ladder.transition_freqs)
+    if np.any(np.diff(freqs) <= RESONANCE_RTOL * np.max(np.abs(freqs))):
+        raise ValueError(
+            f"config key 'quadrupole.omega_q_hz' = {cfg.quad.omega_q / _TWO_PI:g} "
+            "leaves two transition frequencies equal within RESONANCE_RTOL, so a "
+            "selective pulse cannot address one transition"
+        )
+    return ladder
+
+
+def _twisting(cfg: ScenarioConfig) -> float:
+    """The effective twisting strength omega_q_eff of ``cfg``; zero is an
+    error naming the config key that removes the Iz^2 term."""
+    omega = effective_oat_strength(cfg.quad, cfg.spin)
+    if omega == 0:
+        key, value = (
+            ("spin.twice_i", cfg.spin.twice_i) if cfg.spin.twice_i < 2
+            else ("quadrupole.omega_q_hz", f"{cfg.quad.omega_q / _TWO_PI:g}")
+        )
+        raise ValueError(
+            f"config key '{key}' is {value}, so the effective twisting strength is zero"
+        )
+    return omega
 
 
 def _neff_series(states, times, op, spin, tag) -> SizeSeries:
@@ -282,9 +308,7 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     ``n_points`` (default 1001).
     """
     spin = cfg.spin
-    omega = effective_oat_strength(cfg.quad, spin)
-    if omega == 0:
-        raise ValueError("effective twisting strength is zero; no OAT dynamics")
+    omega = _twisting(cfg)
     t_max = _param(cfg, "t_max", np.pi / abs(omega))
     times = np.linspace(0.0, t_max, _param(cfg, "n_points", 1001, minimum=2))
     states = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
@@ -312,20 +336,10 @@ def ramsey_cat_protocol(
     if phase_rule == "rotating":
         omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     if t_values is None:
-        omega_eff = effective_oat_strength(cfg.quad, cfg.spin)
         if "t_max" in cfg.params:
             t_max = _param(cfg, "t_max", None)
-        elif omega_eff != 0:
-            t_max = 2.5 * np.pi / abs(omega_eff)
         else:
-            key, value = (
-                ("spin.twice_i", cfg.spin.twice_i) if cfg.spin.twice_i < 2
-                else ("quadrupole.omega_q_hz", 0)
-            )
-            raise ValueError(
-                f"config key '{key}' is {value}, so there is no twisting and the "
-                "default params.t_max = 2.5 pi / omega_q_eff is undefined; set params.t_max"
-            )
+            t_max = 2.5 * np.pi / abs(_twisting(cfg))
         t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
     return _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
 
@@ -387,7 +401,6 @@ def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope) -
 
 @dataclass
 class VirtualPhaseResult:
-    trajectory: Trajectory
     fidelity: float
     final_state: np.ndarray
     reference_state: np.ndarray
@@ -406,9 +419,7 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
     """
     spin = cfg.spin
     ladder = _ladder(cfg)
-    omega_eff = effective_oat_strength(cfg.quad, spin)
-    if omega_eff == 0:
-        raise ValueError("effective twisting strength is zero; no cat formation")
+    omega_eff = _twisting(cfg)
     t_wait = _param(cfg, "t_wait", np.pi / (2 * omega_eff))
     base_phase = _param(cfg, "base_phase", 0.0)
     n = spin.twice_i
@@ -432,17 +443,12 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
         t_half,
     )
     psi0 = eigenstate(spin, spin.i)
-    mid = u_shifted @ psi0
-    final = u_base @ mid
+    final = u_base @ (u_shifted @ psi0)
 
     # reference: uniform-phase pulses with the twisting applied for real
     reference = u_base @ _twisted(u_base @ psi0, omega_eff, t_wait, spin)
 
-    traj = Trajectory(
-        times=np.array([0.0, t_half, 2 * t_half]), states=np.array([psi0, mid, final])
-    )
     return VirtualPhaseResult(
-        trajectory=traj,
         fidelity=fidelity(final, reference),
         final_state=final,
         reference_state=reference,
@@ -454,7 +460,6 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
 class GivensResult:
     mode: str
     schedule: PulseSchedule
-    trajectory: Trajectory
     total_duration: float
     edge_populations: tuple
     end_fidelity: float
@@ -470,22 +475,11 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     """
     spin = cfg.spin
     ladder = _ladder(cfg)
-    freqs = np.sort(ladder.transition_freqs)
-    if np.any(np.diff(freqs) <= RESONANCE_RTOL * np.max(np.abs(freqs))):
-        raise ValueError(
-            f"config key 'quadrupole.omega_q_hz' = {cfg.quad.omega_q / (2 * np.pi):g} "
-            "leaves two transition frequencies equal within RESONANCE_RTOL, so a "
-            "selective pulse cannot address one transition"
-        )
     sched = givens_schedule(spin, cfg.fields.gamma_b1, ladder, mode)
     psi = eigenstate(spin, spin.i).astype(complex)
-    times = [0.0]
-    states = [psi]
     for seg in sched.segments:
         h_rot = rotating_frame_hamiltonian(seg.tones, spin, cfg.fields.gamma_b1, ladder)
         psi = propagator(h_rot, seg.duration) @ psi
-        times.append(seg.t_end)
-        states.append(psi)
     pop_top = abs(psi[0]) ** 2
     pop_bottom = abs(psi[-1]) ** 2
     target = eigenstate(spin, -spin.i)
@@ -493,7 +487,6 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     return GivensResult(
         mode=mode,
         schedule=sched,
-        trajectory=Trajectory(np.array(times), np.array(states)),
         total_duration=sched.t_end,
         edge_populations=(pop_top, pop_bottom),
         end_fidelity=fidelity(psi, target),
@@ -687,8 +680,8 @@ def multitone_lab_validation(
     spin = cfg.spin
     fields = replace(cfg.fields, gamma_b1=cfg.fields.gamma_b1 * scale)
     quad = replace(cfg.quad, omega_q=cfg.quad.omega_q * scale)
+    ladder = _ladder(replace(cfg, fields=fields, quad=quad))
     h_static = static_hamiltonian(fields, quad, spin)
-    ladder = energy_ladder(h_static, spin)
     t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
     seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1

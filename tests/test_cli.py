@@ -233,15 +233,36 @@ def test_ramsey_without_twisting_needs_t_max(tmp_path, capsys, doc, key):
     assert main(["ramsey", "--config", str(path)]) == 2
     assert key in capsys.readouterr().err
     path.write_text(json.dumps({**doc, "params": {"t_max": 1e-4, "n_points": 11}}))
-    assert main(["ramsey", "--config", str(path)]) == 0
-    assert "over 11 points" in capsys.readouterr().out
+    rc = main(["ramsey", "--config", str(path)])
+    out, err = capsys.readouterr()
+    if doc == {"spin": {"twice_i": 1}}:
+        # a single transition cannot be degenerate: the explicit span runs
+        assert rc == 0 and "over 11 points" in out
+    else:
+        # without the quadrupole term all seven transitions share one frequency
+        assert rc == 2
+        assert "config key 'quadrupole.omega_q_hz' = 0 leaves" in err
 
 
-@pytest.mark.parametrize("mode", ["create", "collapse"])
-def test_givens_rejects_a_degenerate_ladder(tmp_path, capsys, mode):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["givens", "--mode", "create"],
+        ["givens", "--mode", "collapse"],
+        ["ramsey"],
+        ["decoherence"],
+        ["virtual-phase"],
+        ["lab-check"],
+    ],
+    ids=["create", "collapse", "ramsey", "decoherence", "virtual-phase", "lab-check"],
+)
+def test_givens_rejects_a_degenerate_ladder(tmp_path, capsys, argv):
+    # every rotating-frame command maps tones to transitions the same way
     path = tmp_path / "flat.json"
-    path.write_text(json.dumps({"quadrupole": {"omega_q_hz": 0}}))
-    assert main(["givens", "--mode", mode, "--config", str(path)]) == 2
+    path.write_text(json.dumps(
+        {"quadrupole": {"omega_q_hz": 0}, "params": {"t_max": 1e-4, "n_points": 11}}
+    ))
+    assert main([*argv, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config key 'quadrupole.omega_q_hz' = 0 leaves two transition frequencies" in err
 
@@ -275,3 +296,67 @@ def test_coherence_table_matches_the_row_by_row_bytes(tmp_path, capsys):
         for row in coherence_scaling(paper_config(), [1, 3, 7]):
             fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")
     assert (tmp_path / "coherence_vs_dimension.csv").read_bytes() == oracle.read_bytes()
+
+
+#: Every command on a small grid, each flag it takes set away from its default.
+REPLAY_RUNS = {
+    "oat": (["oat"], {"n_points": 11}),
+    "ramsey": (["ramsey", "--phase-rule", "fixed"], {"t_max": 1e-4, "n_points": 11}),
+    "virtual-phase": (["virtual-phase"], {}),
+    "givens": (["givens", "--mode", "create"], {}),
+    "decoherence": (
+        ["decoherence", "--gamma-m", "10", "20", "--gamma-e", "0.5"],
+        {"t_max": 1e-4, "n_points": 11},
+    ),
+    "coherence-scaling": (["coherence-scaling", "--spins", "3", "5"], {}),
+    "tact": (["tact", "--eta", "0.5", "--b0-hz", "0", "--corner", "--dt", "1e-8"], {"t_max": 1e-7}),
+    "husimi": (["husimi", "--time-fraction", "0.25", "--n-theta", "5", "--n-phi", "9"], {}),
+    "lab-check": (["lab-check", "--scale", "400", "--dt", "1e-9"], {}),
+}
+
+
+def _replay_argv(manifest: dict, config_path, out) -> list:
+    """The argv of a run rebuilt from its manifest alone."""
+    argv = [manifest["scenario"], "--config", str(config_path), "--out", str(out)]
+    for key, value in manifest.get("extras", {}).items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value not in (None, False):
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(REPLAY_RUNS))
+def test_a_run_replays_from_its_manifest(tmp_path, capsys, command):
+    argv, params = REPLAY_RUNS[command]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"params": params}))
+    first, second = tmp_path / "A", tmp_path / "B"
+    assert main([*argv, "--config", str(config), "--out", str(first)]) == 0
+    printed = capsys.readouterr().out
+    manifest = json.loads((first / f"{command}_manifest.json").read_text())
+    replay_config = tmp_path / "replay.json"
+    replay_config.write_text(json.dumps(manifest["config"]))
+    assert main(_replay_argv(manifest, replay_config, second)) == 0
+    assert capsys.readouterr().out == printed
+    tables = sorted(p.name for p in first.iterdir() if not p.name.endswith("_manifest.json"))
+    assert tables == sorted(p.name for p in second.iterdir() if not p.name.endswith("_manifest.json"))
+    assert (tables == []) == (command == "lab-check")
+    for name in tables:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    replayed = json.loads((second / f"{command}_manifest.json").read_text())
+    assert replayed.get("extras") == manifest.get("extras")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["oat", "ramsey", "virtual-phase", "givens", "decoherence", "coherence-scaling", "husimi"],
+)
+def test_dt_is_a_flag_of_the_stepping_commands_only(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dt", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt 5" in capsys.readouterr().err
