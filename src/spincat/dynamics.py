@@ -288,8 +288,9 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     if isinstance(h, Drive):
         d = psi.size
         h0, x = _drive_terms(h, d)
-        coeffs = _step_map_coefficients(h0, x, dt)
-        powers = np.arange(len(coeffs))
+        # real and imaginary parts interleaved, (p + 1, 2 d^2): the real
+        # powers of c then multiply them in one real product
+        coeffs = _step_map_coefficients(h0, x, dt).view(float)
         n = grid.n_steps
         chunk = _chunk_steps(d)
         states = [psi]
@@ -297,7 +298,13 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
             k1 = min(k0 + chunk, n)
             t_mid = grid.t_start + (np.arange(k0, k1) + 0.5) * dt
             c = _envelope_values(h, t_mid)
-            maps = (np.power.outer(c, powers) @ coeffs).reshape(-1, d, d)
+            # c^0 ... c^p by repeated multiplication: np.power takes libm's
+            # slow path on negative bases
+            powers = np.empty((len(coeffs), c.size))
+            powers[0] = 1.0
+            for j in range(1, len(coeffs)):
+                np.multiply(powers[j - 1], c, out=powers[j])
+            maps = (powers.T @ coeffs).view(complex).reshape(-1, d, d)
             # runs of maps ending at each stored step inside the chunk
             cuts = steps[(steps > k0) & (steps <= k1)] - k0
             start = 0

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinQuantum, is_hermitian
+from .spin import DM_HERMITICITY_TOL, SpinQuantum, is_hermitian
 
 __all__ = [
     "HusimiGrid",
@@ -119,23 +119,6 @@ def effective_sizes(states: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> np
     return 2.0 * var / spin.i
 
 
-def _coherent_grid(spin: SpinQuantum, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coherent-state amplitudes on the grid, shape (d, n_theta, n_phi)."""
-    d = spin.dimension
-    twice_i = spin.twice_i
-    idx = np.arange(d)  # I - m
-    m = spin.m_values
-    binom = np.array([math.comb(twice_i, int(k)) for k in idx])
-    half = thetas / 2
-    amp_theta = (
-        np.sqrt(binom)[:, None]
-        * np.cos(half)[None, :] ** (twice_i - idx[:, None])
-        * np.sin(half)[None, :] ** idx[:, None]
-    )
-    phase = np.exp(-1j * np.multiply.outer(m, phis))
-    return amp_theta[:, :, None] * phase[:, None, :]
-
-
 def husimi_q(
     state: np.ndarray,
     spin: SpinQuantum,
@@ -144,21 +127,39 @@ def husimi_q(
 ) -> HusimiGrid:
     """Husimi Q(theta, phi) = (2I+1)/(4 pi) <coh(theta,phi)| rho |coh(theta,phi)>.
 
+    The coherent amplitudes factor into a real theta part and a phase,
+    <j|coh> = A[theta, j] exp(-i m_j phi) with
+    A = sqrt(C(2I, j)) cos(theta/2)^(2I-j) sin(theta/2)^j, so
+    Q = (2I+1)/(4 pi) sum_jk A_j A_k rho_jk exp(i (k - j) phi): the terms on
+    one diagonal s = k - j of rho share their phase, and Hermiticity pairs
+    s with -s.  Summing each diagonal over j leaves one (n_theta, d) x
+    (d, n_phi) product, so memory scales with the output grid, not with
+    d x grid.  A pure state enters as rho = psi psi^dagger; a density
+    matrix must be Hermitian within 1e-10.
+
     Each axis needs at least 2 points, or the grid spans no area and its
     sphere integral is meaningless."""
     for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
         if n < 2:
             raise ValueError(f"husimi grid size {name} must be >= 2, got {n}")
     state = np.asarray(state)
+    if state.ndim == 1:
+        state = np.outer(state, state.conj())
+    elif not is_hermitian(state, DM_HERMITICITY_TOL):
+        raise ValueError("husimi_q needs a pure state or a density matrix Hermitian within 1e-10")
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
-    coh = _coherent_grid(spin, thetas, phis)
-    norm = (spin.dimension) / (4 * np.pi)
-    if state.ndim == 1:
-        proj = np.einsum("dtp,d->tp", coh, state.conj())  # conj(<coh|psi>)
-        values = norm * np.abs(proj) ** 2
-    else:
-        values = norm * np.einsum("dtp,de,etp->tp", coh.conj(), state, coh).real
+    d = spin.dimension
+    idx = np.arange(d)  # I - m
+    binom = np.array([math.comb(spin.twice_i, int(k)) for k in idx])
+    half = thetas[:, None] / 2
+    amp = np.sqrt(binom) * np.cos(half) ** (spin.twice_i - idx) * np.sin(half) ** idx
+    diagonals = np.stack(
+        [(amp[:, : d - s] * amp[:, s:]) @ np.diagonal(state, s) for s in idx], axis=1
+    )
+    diagonals[:, 1:] *= 2
+    values = (diagonals @ np.exp(1j * np.multiply.outer(idx, phis))).real
+    values *= d / (4 * np.pi)
     return HusimiGrid(spin=spin, thetas=thetas, phis=phis, values=np.clip(values, 0.0, None))
 
 

@@ -260,7 +260,9 @@ def test_criterion_9_integrator_oracles():
 
     # Lindblad production runs: trace within 1e-8 and positivity above -1e-7
     # are enforced sample-by-sample inside the integrator (it aborts on any
-    # violation), so completing with finite outputs certifies both
+    # violation), so completing with finite outputs certifies both.  The
+    # dephasing of coherence_scaling and of the sweep's gap is the closed
+    # form, which leaves the diagonal, and so the trace, untouched
     rows = coherence_scaling(cfg, twice_i_list=[1, 5, 9])
     sweep = decoherence_sweep(
         paper_config(params={"t_max": 200e-6, "n_points": 401}), [50.0], [1.0]

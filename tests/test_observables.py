@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,82 @@ def test_husimi_pure_state_peak_memory_stays_below_one_and_a_half_grids():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * grid_bytes
+
+
+def _coherent_grid_husimi(state, spin, n_theta, n_phi):
+    """Q from the full (d, n_theta, n_phi) tensor of coherent amplitudes,
+    contracted with the state: the formula husimi_q had before it factored
+    the tensor."""
+    thetas = np.linspace(0.0, np.pi, n_theta)
+    phis = np.linspace(0.0, 2 * np.pi, n_phi)
+    idx = np.arange(spin.dimension)
+    binom = np.array([math.comb(spin.twice_i, int(k)) for k in idx])
+    half = thetas / 2
+    amp = (
+        np.sqrt(binom)[:, None]
+        * np.cos(half)[None, :] ** (spin.twice_i - idx[:, None])
+        * np.sin(half)[None, :] ** idx[:, None]
+    )
+    coh = amp[:, :, None] * np.exp(-1j * np.multiply.outer(spin.m_values, phis))[:, None, :]
+    norm = spin.dimension / (4 * np.pi)
+    if state.ndim == 1:
+        values = norm * np.abs(np.einsum("dtp,d->tp", coh, state.conj())) ** 2
+    else:
+        values = norm * np.einsum("dtp,de,etp->tp", coh.conj(), state, coh).real
+    return np.clip(values, 0.0, None)
+
+
+def _husimi_test_states(spin, rng):
+    """Random and structured pure states, and density matrices of rank 1, 3
+    and full rank."""
+    d = spin.dimension
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    pure = [psi, zcat(spin), coherent_state(spin, 1.1, 0.4)]
+    mixed = [np.outer(psi, psi.conj())]
+    for rank in (min(3, d), d):
+        a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = a @ a.conj().T
+        mixed.append(rho / np.trace(rho).real)
+    return pure + mixed
+
+
+@pytest.mark.parametrize("twice_i", [1, 2, 7, 25])
+@pytest.mark.parametrize("n_theta, n_phi", [(37, 53), (60, 17)])
+def test_husimi_matches_the_coherent_grid_oracle(twice_i, n_theta, n_phi):
+    spin = SpinQuantum(twice_i)
+    for state in _husimi_test_states(spin, np.random.default_rng(twice_i)):
+        want = _coherent_grid_husimi(state, spin, n_theta, n_phi)
+        grid = husimi_q(state, spin, n_theta=n_theta, n_phi=n_phi)
+        assert grid.values.shape == (n_theta, n_phi)
+        assert np.max(np.abs(grid.values - want)) <= 1e-13 * want.max()
+
+
+def test_husimi_rejects_a_non_hermitian_matrix():
+    spin = SpinQuantum(3)
+    rho = np.eye(4) / 4
+    rho[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        husimi_q(rho, spin)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_husimi_peak_memory_stays_below_a_quarter_of_the_coherent_grid(mixed):
+    # the (d, n_theta, n_phi) complex tensor of coherent amplitudes is never
+    # built: the peak is a few grids of the output's size
+    spin = SpinQuantum(25)
+    n_theta, n_phi = 181, 361
+    grid_bytes = spin.dimension * n_theta * n_phi * 16
+    psi = zcat(spin)
+    state = np.outer(psi, psi.conj()) if mixed else psi
+    tracemalloc.start()
+    try:
+        grid = husimi_q(state, spin, n_theta=n_theta, n_phi=n_phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(grid.integral() - 1.0) < 1e-3
+    assert peak < 0.25 * grid_bytes
 
 
 def test_cat_coherence_values():

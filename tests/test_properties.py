@@ -8,10 +8,18 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spincat.control import wrap_phase
+from spincat.control import (
+    PulseSchedule,
+    PulseSegment,
+    ToneSpec,
+    schedule_from_json,
+    schedule_to_json,
+    wrap_phase,
+)
+from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import effective_sizes
 from spincat.scenarios import config_from_dict, config_to_dict
-from spincat.spin import SpinQuantum, spin_operators
+from spincat.spin import SpinQuantum, rotation_operator, spin_operators
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -98,3 +106,80 @@ def test_config_survives_its_json_round_trip(doc):
     cfg = config_from_dict(doc)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert _same(doc, config_to_dict(cfg))
+
+
+@st.composite
+def _schedules(draw):
+    """1-3 back-to-back or spaced segments of 1-4 tones each, the summed
+    tone amplitudes at most 1, with or without an explicit phase origin."""
+    segments, t = [], draw(st.floats(0.0, 1e-3))
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        tones = tuple(
+            ToneSpec(draw(st.floats(-1e9, 1e9, allow_subnormal=False)), draw(st.floats(0.0, 1.0)) / n, draw(_ANGLE))
+            for _ in range(n)
+        )
+        duration = draw(st.floats(1e-9, 1e-2))
+        origin = draw(st.none() | st.floats(-1e-2, 1e-2))
+        segments.append(PulseSegment(tones, t, t + duration, origin))
+        t += duration + draw(st.floats(0.0, 1e-3))
+    return PulseSchedule(tuple(segments))
+
+
+@given(_schedules())
+def test_schedule_survives_its_json_round_trip(schedule):
+    back = schedule_from_json(schedule_to_json(schedule))
+    assert len(back.segments) == len(schedule.segments)
+    for a, b in zip(schedule.segments, back.segments):
+        assert (b.t_start, b.t_end, b.origin) == (a.t_start, a.t_end, a.origin)
+        assert len(b.tones) == len(a.tones)
+        for ta, tb in zip(a.tones, b.tones):
+            assert (tb.eps, tb.phi) == (ta.eps, ta.phi)
+            # omega passes through Hz: one rounding of the 2 pi each way
+            assert math.isclose(tb.omega, ta.omega, rel_tol=1e-15, abs_tol=0.0)
+
+
+@given(
+    st.integers(1, 9),
+    arrays(float, 3, elements=_UNIT),
+    st.floats(-20.0, 20.0, allow_nan=False),
+)
+def test_rotation_operator_is_unitary(twice_i, axis, angle):
+    norm = np.linalg.norm(axis)
+    assume(norm > 1e-3)
+    spin = SpinQuantum(twice_i)
+    u = rotation_operator(spin, axis / norm, angle)
+    eye = np.eye(spin.dimension)
+    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
+    assert np.max(np.abs(u @ u.conj().T - eye)) <= 1e-12
+
+
+@st.composite
+def _lindblad_cases(draw):
+    """A spin with 2I <= 5, a random Hermitian H (entries up to 1e4 rad/s),
+    rates up to 1e4 per s, a random density matrix of rank 1-d and a span
+    of up to 1 ms sampled at 1-5 stored states."""
+    spin = SpinQuantum(draw(st.integers(1, 5)))
+    d = spin.dimension
+    g = draw(arrays(float, (d, d), elements=_UNIT)) + 1j * draw(arrays(float, (d, d), elements=_UNIT))
+    h = 1e4 * (g + g.conj().T) / 2
+    rates = DecoherenceSpec(draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1e4)))
+    rank = draw(st.integers(1, d))
+    shape = (d, rank)
+    a = draw(arrays(float, shape, elements=_UNIT)) + 1j * draw(arrays(float, shape, elements=_UNIT))
+    rho = a @ a.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    t_end = draw(st.floats(1e-6, 1e-3))
+    n = draw(st.integers(1, 5))
+    return h, rho / trace, rates, TimeGrid(0.0, t_end, dt=t_end / n, output_stride=1)
+
+
+@given(_lindblad_cases())
+def test_lindblad_states_keep_unit_trace_and_stay_positive(case):
+    h, rho0, rates, grid = case
+    states = evolve_lindblad(h, rho0, rates, grid).states
+    assert len(states) == grid.n_steps + 1
+    assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-10
+    assert np.array_equal(states[1:], states[1:].conj().swapaxes(1, 2))
+    assert np.linalg.eigvalsh(states).min() >= -1e-10

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from spincat.dynamics import (
     TimeGrid,
     evolve_lindblad,
     evolve_unitary,
+    propagator,
 )
 from spincat.hamiltonian import (
     QuadrupoleSpec,
@@ -27,8 +29,13 @@ from spincat.hamiltonian import (
     energy_ladder,
     static_hamiltonian,
 )
-from spincat.observables import effective_size, revival_peaks
+from spincat.observables import cat_coherence, effective_size, revival_peaks
 from spincat.scenarios import (
+    _cat_signal,
+    _dephased,
+    _lab_hamiltonian,
+    _ladder,
+    _pulse_pair,
     _twisted,
     coherence_scaling,
     config_from_dict,
@@ -217,6 +224,54 @@ def test_gap_sweep_chunks_match_per_sample_sweeps():
     assert np.max(np.abs(series.values - per_sample)) <= 1e-12
 
 
+def test_gap_rule_matches_lab_frame_protocol():
+    # the full protocol in the lab frame at 2I = 3, gamma*B1 and omega_q
+    # scaled by 25: one shared first lab pulse, each gap propagated exactly
+    # under H_static, then the second lab pulse (1 ns steps) with the
+    # rotating phase rule.  The rotating-frame state must be D U2(0) D^dagger
+    # psi_1 with D = diag(exp(i nu T)); at these gaps the flipped rule
+    # D^dagger U2(0) D is 0.1-0.9 away in infidelity, while N_eff(Iz) cannot
+    # tell the two apart.
+    base = paper_config(twice_i=3)
+    cfg = replace(
+        base,
+        fields=replace(base.fields, gamma_b1=25 * base.fields.gamma_b1),
+        quad=replace(base.quad, omega_q=25 * base.quad.omega_q),
+    )
+    spin, fields = cfg.spin, cfg.fields
+    ladder = _ladder(cfg)
+    h_static = static_hamiltonian(fields, cfg.quad, spin)
+    energies, basis = np.linalg.eigh(h_static)
+    t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
+    omega_ref = fields.gamma_b0
+    revival = np.pi / abs(effective_oat_strength(cfg.quad, spin))
+    gaps = np.array([0.13, 0.62, 3.37]) * revival
+
+    psi0 = eigenstate(spin, spin.i)
+    first = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
+    drive = _lab_hamiltonian(h_static, fields, spin, first.envelope)
+    psi1 = evolve_unitary(drive, psi0, TimeGrid(0.0, t_half, dt=1e-9)).final_state
+    h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
+    model1 = propagator(h1, t_half) @ psi0
+    signal = _cat_signal(cfg, DecoherenceSpec(), omega_ref, gaps)
+    iz = spin_operators(spin).Iz
+    for gap, neff in zip(gaps, signal.values):
+        delta_phi = np.pi / 2 + omega_ref * (gap + t_half)
+        second = cat_schedule(ladder.transition_freqs, delta_phi, gap, t_half).segments[1]
+        psi = basis @ (np.exp(-1j * energies * gap) * (basis.conj().T @ psi1))
+        grid = TimeGrid(second.t_start, second.t_end, dt=1e-9)
+        drive = _lab_hamiltonian(h_static, fields, spin, second.envelope)
+        psi = evolve_unitary(drive, psi, grid).final_state
+        psi_rot = np.exp(1j * ladder.energies * grid.t_end) * psi
+        phase = np.exp(1j * nu * gap)  # the diagonal of D
+        model = phase * (u2 @ (phase.conj() * model1))
+        flipped = phase.conj() * (u2 @ (phase * model1))
+        assert 1 - fidelity(psi_rot, model) <= 5e-5
+        assert 1 - fidelity(psi_rot, flipped) >= 0.1
+        assert effective_size(psi_rot, iz, spin) == pytest.approx(neff, abs=1e-2)
+        assert effective_size(flipped, iz, spin) == pytest.approx(neff, abs=1e-9)
+
+
 def test_gap_sweeps_reject_bad_gap_times():
     cfg = paper_config(twice_i=3)
     with pytest.raises(ValueError, match="gap time"):
@@ -301,6 +356,59 @@ def test_coherence_scaling_matches_analytic():
     assert all(a > b for a, b in zip(values, values[1:]))  # strictly decreasing
     for row in rows:
         assert row.coherence == pytest.approx(row.analytic, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("twice_i", [1, 3, 7, 9])
+def test_coherence_scaling_matches_the_lindblad_evolver(twice_i):
+    # rates and time chosen so that the 2I = 9 coherence is still ~0.3
+    gamma_m, t_final = 100.0, 1e-4
+    cfg = paper_config(params={"gamma_m": gamma_m, "t_final": t_final})
+    (row,) = coherence_scaling(cfg, [twice_i])
+    spin = SpinQuantum(twice_i)
+    d = spin.dimension
+    cat = (eigenstate(spin, spin.i) + eigenstate(spin, -spin.i)) / np.sqrt(2)
+    rho = evolve_lindblad(
+        np.zeros((d, d)), np.outer(cat, cat.conj()), DecoherenceSpec(gamma_m=gamma_m),
+        TimeGrid(0.0, t_final, dt=t_final),
+    ).final_state
+    assert row.coherence > 0.1
+    assert abs(row.coherence - cat_coherence(rho, spin)) <= 1e-13
+
+
+@pytest.mark.parametrize("twice_i", [1, 3, 7, 9])
+def test_dephased_matches_the_lindblad_evolver(twice_i):
+    # the closed form shared by coherence_scaling and the gap sweeps, on a
+    # full-rank state with both jump operators and a diagonal Hamiltonian
+    spin = SpinQuantum(twice_i)
+    d = spin.dimension
+    rng = np.random.default_rng(twice_i)
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0).real
+    nu = rng.uniform(-5e4, 5e4, d)
+    dec, t = DecoherenceSpec(gamma_m=300.0, gamma_e=20.0), 2e-4
+    want = evolve_lindblad(np.diag(nu), rho0, dec, TimeGrid(0.0, t, dt=t)).final_state
+    assert np.max(np.abs(_dephased(rho0, dec, nu, t, spin) - want)) <= 1e-13
+    stack = _dephased(rho0, dec, nu, np.array([0.0, t]), spin)
+    assert stack.shape == (2, d, d)
+    assert np.array_equal(stack[0], rho0)
+    assert np.max(np.abs(stack[1] - want)) <= 1e-13
+
+
+def test_coherence_scaling_peak_memory_stays_below_one_liouvillian():
+    # the closed form needs d x d arrays; the d^2 x d^2 complex Liouvillian
+    # of the Lindblad evolver at 2I = 25 alone is 7.3 MB
+    d = 26
+    liouvillian_bytes = d ** 4 * 16
+    cfg = paper_config()
+    tracemalloc.start()
+    try:
+        (row,) = coherence_scaling(cfg, [25])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.coherence == pytest.approx(row.analytic, rel=1e-6, abs=0)
+    assert peak < liouvillian_bytes
 
 
 def test_tact_corner_case_forms_cat_without_field():
