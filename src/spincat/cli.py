@@ -9,7 +9,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,19 +37,10 @@ _TWO_PI = 2 * np.pi
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        with open(args.config) as fh:
-            cfg = config_from_dict(json.load(fh))
-    else:
-        cfg = paper_config()
-    updates = {}
-    if getattr(args, "dt", None) is not None:
-        updates["dt"] = args.dt
-    if args.out:
-        updates["output_dir"] = args.out
-    if updates:
-        cfg = replace(cfg, **updates)
-    return cfg
+    if not args.config:
+        return paper_config()
+    with open(args.config) as fh:
+        return config_from_dict(json.load(fh))
 
 
 def _cmd_oat(cfg, args, out) -> None:
@@ -104,7 +94,7 @@ def _cmd_givens(cfg, args, out) -> None:
     result = givens_baseline(cfg, mode=args.mode)
     print(
         f"givens ({args.mode}): {len(result.schedule.segments)} pulses, "
-        f"total {result.total_duration * 1e3:.3f} ms "
+        f"total {result.schedule.t_end * 1e3:.3f} ms "
         f"(OAT period {result.oat_period * 1e6:.2f} us); "
         f"edge populations = ({result.edge_populations[0]:.6f}, "
         f"{result.edge_populations[1]:.6f}); "
@@ -116,7 +106,7 @@ def _cmd_givens(cfg, args, out) -> None:
                 {
                     "mode": result.mode,
                     "n_pulses": len(result.schedule.segments),
-                    "total_duration_s": result.total_duration,
+                    "total_duration_s": result.schedule.t_end,
                     "oat_period_s": result.oat_period,
                     "edge_populations": list(result.edge_populations),
                     "fidelity_to_bottom": result.end_fidelity,
@@ -171,8 +161,8 @@ def _cmd_tact(cfg, args, out) -> None:
         if res.euler != cfg.quad.euler:
             label += "_corner"
         print(
-            f"tact {label}: max N_eff({res.operator_tag}) = {res.neff_max:.4f} "
-            f"at t = {res.t_peak * 1e6:.3f} us"
+            f"tact {label}: max N_eff({res.series.operator_tag}) = {res.series.peak:.4f} "
+            f"at t = {res.series.peak_time * 1e6:.3f} us"
         )
         if out:
             save_size_series(
@@ -206,8 +196,7 @@ def _cmd_husimi(cfg, args, out) -> None:
 
 
 def _cmd_lab_check(cfg, args, out) -> None:
-    dt = LAB_FRAME_DT if cfg.dt is None else cfg.dt
-    result = multitone_lab_validation(cfg, scale=args.scale, dt=dt)
+    result = multitone_lab_validation(cfg, scale=args.scale, dt=args.dt)
     print(
         f"lab-check: scale = {result.scale:g}, {result.n_steps} steps of "
         f"{result.dt * 1e9:.3f} ns; infidelity vs rotating-frame model = "
@@ -262,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, nargs="+", help="asymmetry values")
     p.add_argument("--b0-hz", type=float, nargs="+", help="gamma*B0 values in Hz")
     p.add_argument("--corner", action="store_true", help="add the eta=0, mu=pi/2 case")
-    p.add_argument("--dt", type=float, help="integrator step (s); overrides the config's dt")
     p.set_defaults(func=_cmd_tact)
 
     p = sub.add_parser("husimi", help="Husimi Q table of the OAT state")
@@ -277,28 +265,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scale", type=float, default=20.0,
                    help="joint scale factor on gamma*B1 and omega_q")
-    p.add_argument("--dt", type=float, help="integrator step (s); overrides the config's dt")
+    p.add_argument("--dt", type=float, default=LAB_FRAME_DT, help="integrator step (s)")
     p.set_defaults(func=_cmd_lab_check)
 
     return parser
 
 
-#: Namespace entries that are not subcommand flags, or that the manifest's
-#: config echo already records.
-_NOT_EXTRAS = ("command", "func", "config", "out", "dt")
+#: Namespace entries that are not subcommand flags.
+_NOT_EXTRAS = ("command", "func", "config", "out")
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  With an output directory (``--out`` or the
-    config's ``output_dir``) the directory is created before the scenario
-    runs, and a manifest follows its tables: the config echo, the wall time
-    and, under ``extras``, every other flag, so the run replays from it."""
+    """Run one subcommand.  With ``--out`` the output directory is created
+    before the scenario runs, and a manifest follows its tables: the config
+    echo, the wall time and, under ``extras``, every other flag, so the run
+    replays from it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
         t0 = time.time()
-        out = cfg.output_dir
+        out = args.out
         if out:
             os.makedirs(out, exist_ok=True)
         args.func(cfg, args, out)

@@ -89,17 +89,15 @@ class ScenarioConfig:
 
     ``params`` carries scenario-specific knobs (sweep ranges, sample counts,
     phase-rule reference frequency, ...); every scenario documents the keys
-    it reads.  ``dt`` overrides the integrator step of ``tact`` runs and of
-    ``spincat lab-check``.
+    it reads.  Run settings are not part of it: the output directory is
+    ``spincat --out`` and the lab-frame step ``spincat lab-check --dt``.
     """
 
     spin: SpinQuantum
     fields: FieldSpec
     quad: QuadrupoleSpec
     decoherence: DecoherenceSpec = DecoherenceSpec()
-    dt: float | None = None
     params: dict = field(default_factory=dict)
-    output_dir: str | None = None
 
 
 def paper_config(twice_i: int = 7, **overrides) -> ScenarioConfig:
@@ -136,9 +134,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             "gamma_m_per_s": cfg.decoherence.gamma_m,
             "gamma_e_per_s": cfg.decoherence.gamma_e,
         },
-        "dt": cfg.dt,
         "params": cfg.params,
-        "output_dir": cfg.output_dir,
     }
 
 
@@ -204,10 +200,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     euler = value("quadrupole.euler_rad")
     if not isinstance(euler, (list, tuple)) or len(euler) != 3:
         raise ValueError(f"config key 'quadrupole.euler_rad' must hold 3 numbers, got {euler!r}")
-    dt = doc.get("dt")
-    output_dir = doc.get("output_dir")
-    if not isinstance(output_dir, (str, type(None))):
-        raise ValueError(f"config key 'output_dir' must be a string, got {output_dir!r}")
     fields = FieldSpec(
         gamma_b0=number("fields.gamma_b0_hz") * _TWO_PI,
         gamma_b1=number("fields.gamma_b1_hz") * _TWO_PI,
@@ -227,9 +219,7 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         fields=fields,
         quad=quad,
         decoherence=dec,
-        dt=None if dt is None else _finite(dt, "dt"),
         params=doc.get("params", {}),
-        output_dir=output_dir,
     )
 
 
@@ -239,10 +229,16 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 
 def _measure_operator(spin: SpinQuantum, tag: str) -> np.ndarray:
     ops = spin_operators(spin)
-    try:
-        return {"x": ops.Ix, "y": ops.Iy, "z": ops.Iz}[tag]
-    except KeyError:
-        raise ValueError(f"unknown operator tag {tag!r}") from None
+    return {"x": ops.Ix, "y": ops.Iy, "z": ops.Iz}[tag]
+
+
+def _operator_tag(cfg: ScenarioConfig) -> str:
+    """``params["operator"]`` (default "y"), the spin component N_eff is
+    measured along; anything but "x", "y" or "z" is an error naming the key."""
+    tag = cfg.params.get("operator", "y")
+    if tag not in ("x", "y", "z"):
+        raise ValueError(f"config key 'params.operator' must be 'x', 'y' or 'z', got {tag!r}")
+    return tag
 
 
 def _ladder(cfg: ScenarioConfig) -> EnergyLadder:
@@ -322,7 +318,7 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     t_max = _param(cfg, "t_max", np.pi / abs(omega))
     times = np.linspace(0.0, t_max, _param(cfg, "n_points", 1001, minimum=2))
     states = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
-    tag = cfg.params.get("operator", "y")
+    tag = _operator_tag(cfg)
     return _neff_series(states, times, _measure_operator(spin, tag), spin, tag)
 
 
@@ -470,7 +466,6 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
 class GivensResult:
     mode: str
     schedule: PulseSchedule
-    total_duration: float
     edge_populations: tuple
     end_fidelity: float
     oat_period: float
@@ -497,7 +492,6 @@ def givens_baseline(cfg: ScenarioConfig, mode: str = "collapse") -> GivensResult
     return GivensResult(
         mode=mode,
         schedule=sched,
-        total_duration=sched.t_end,
         edge_populations=(pop_top, pop_bottom),
         end_fidelity=fidelity(psi, target),
         oat_period=np.pi / abs(omega_eff) if omega_eff else np.inf,
@@ -551,17 +545,17 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
     """Cat coherence |rho_{I,-I}| after amplified dephasing, versus dimension.
 
     For each spin the ideal cat (|I,I> + |I,-I>)/sqrt2 dephases for
-    ``params["t_final"]`` (default 1 ms) at rate ``params["gamma_m"]``
-    (default 1 kHz) with H = 0.  The jump operator Iz is diagonal, so the
-    Lindblad solution is the element-by-element closed form of
-    :func:`_dephased`, with no d^2 x d^2 Liouvillian.  The coherence is
-    compared against the law (1/2) exp(-Gamma_m (2I)^2 t / 2).
+    ``params["t_final"]`` (default 1 ms) under ``cfg.decoherence`` with
+    H = 0.  The jump operators are diagonal, so the Lindblad solution is the
+    element-by-element closed form of :func:`_dephased`, with no d^2 x d^2
+    Liouvillian.  Gamma_e leaves rho_{I,-I} alone (m^2 is the same at
+    m = +-I), so the coherence is compared against the law
+    (1/2) exp(-Gamma_m (2I)^2 t / 2).
     """
     if twice_i_list is None:
         twice_i_list = [1, 3, 5, 7, 9]
-    gamma_m = _param(cfg, "gamma_m", 1000.0)
+    dec = cfg.decoherence
     t_final = _param(cfg, "t_final", 1e-3)
-    dec = DecoherenceSpec(gamma_m=gamma_m, gamma_e=0.0)
     rows = []
     for twice_i in twice_i_list:
         spin = SpinQuantum(twice_i)
@@ -572,7 +566,7 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
                 twice_i=twice_i,
                 dimension=spin.dimension,
                 coherence=cat_coherence(rho, spin),
-                analytic=0.5 * float(np.exp(-gamma_m * twice_i ** 2 * t_final / 2)),
+                analytic=0.5 * float(np.exp(-dec.gamma_m * twice_i ** 2 * t_final / 2)),
             )
         )
     return rows
@@ -580,14 +574,15 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
 
 @dataclass
 class TactResult:
+    """One tact case.  The peak N_eff, its time and the measured component
+    are ``series.peak``, ``series.peak_time`` and ``series.operator_tag``;
+    ``husimi`` is the Q function of the state at that peak, if asked for."""
+
     eta: float
     gamma_b0: float
     euler: tuple
     series: SizeSeries
-    neff_max: float
-    t_peak: float
     husimi: object
-    operator_tag: str
 
 
 def tact_oat_comparison(
@@ -605,13 +600,16 @@ def tact_oat_comparison(
     and the cat reappears.  With ``include_corner`` the no-field corner case
     (eta = 0, mu = pi/2) is added, measured along z.  N_eff is evaluated in
     the frame co-rotating at gamma*B0; params: ``t_max`` (default one full
-    nonlinear window 2 pi / omega_q), ``n_steps``, ``operator``.
+    nonlinear window 2 pi / omega_q), ``n_steps``, ``n_output``,
+    ``operator``.  H is constant and propagated exactly, so the step only
+    sets where samples fall: ``LAB_FRAME_DT`` with a field, which resolves
+    the Larmor precession, else ``t_max / n_steps`` (default 20000 steps).
     """
     if eta_list is None:
         eta_list = [0.0, 1.0]
     if b0_list is None:
         b0_list = [0.0, cfg.fields.gamma_b0]
-    tag = cfg.params.get("operator", "y")
+    tag = _operator_tag(cfg)
     cases = [
         (eta, b0, cfg.quad.euler, tag)
         for eta, b0 in itertools.product(eta_list, b0_list)
@@ -637,9 +635,7 @@ def _tact_single(
             "config key 'quadrupole.omega_q_hz' is 0, so the default "
             "params.t_max = 1 / omega_q_hz is undefined; set params.t_max"
         )
-    dt = cfg.dt
-    if dt is None:
-        dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
+    dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
     grid = TimeGrid(0.0, t_max, dt=dt)
     stride = max(1, grid.n_steps // _param(cfg, "n_output", 4000, minimum=1))
     grid = replace(grid, output_stride=stride)
@@ -651,17 +647,13 @@ def _tact_single(
     states = corotate * traj.states
     vals = effective_sizes(states, _measure_operator(spin, tag), spin)
     series = SizeSeries(times=traj.times, values=vals, operator_tag=tag)
-    kpk = int(np.argmax(vals))
-    hus = husimi_q(states[kpk], spin) if with_husimi else None
+    hus = husimi_q(states[int(np.argmax(vals))], spin) if with_husimi else None
     return TactResult(
         eta=float(eta),
         gamma_b0=float(gamma_b0),
         euler=tuple(euler),
         series=series,
-        neff_max=float(vals[kpk]),
-        t_peak=float(traj.times[kpk]),
         husimi=hus,
-        operator_tag=tag,
     )
 
 

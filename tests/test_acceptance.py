@@ -151,13 +151,13 @@ def test_criterion_7_tact_to_oat_conversion():
     )
     free = next(r for r in results if r.gamma_b0 == 0.0)
     driven = next(r for r in results if r.gamma_b0 > 0.0)
-    ok_free = free.neff_max <= 0.5 * 7
-    ok_driven = driven.neff_max >= 0.9 * 7
+    ok_free = free.series.peak <= 0.5 * 7
+    ok_driven = driven.series.peak >= 0.9 * 7
     _report(
         "7 tact-to-oat",
         ok_free and ok_driven,
-        f"eta=1 B0=0: max N_eff = {free.neff_max:.4f} (<= 3.5); "
-        f"eta=1 ratio 206.25: max N_eff = {driven.neff_max:.4f} (>= 6.3)",
+        f"eta=1 B0=0: max N_eff = {free.series.peak:.4f} (<= 3.5); "
+        f"eta=1 ratio 206.25: max N_eff = {driven.series.peak:.4f} (>= 6.3)",
     )
 
 
@@ -173,14 +173,14 @@ def test_criterion_8_givens_baseline():
         len(create.schedule.segments) == 7 and len(collapse.schedule.segments) == 14
     )
     fid_ok = collapse.end_fidelity >= 1 - 1e-6
-    duration_ok = 8e-3 <= collapse.total_duration <= 10e-3
+    duration_ok = 8e-3 <= collapse.schedule.t_end <= 10e-3
     _report(
         "8 givens-baseline",
         pops_ok and count_ok and fid_ok and duration_ok,
         f"create pops = ({create.edge_populations[0]:.8f}, "
         f"{create.edge_populations[1]:.8f}), "
         f"collapse fidelity = {collapse.end_fidelity:.8f}, "
-        f"duration = {collapse.total_duration * 1e3:.3f} ms",
+        f"duration = {collapse.schedule.t_end * 1e3:.3f} ms",
     )
 
 

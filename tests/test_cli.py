@@ -1,10 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from spincat.cli import main
-from spincat.scenarios import coherence_scaling, paper_config
+from spincat.cli import build_parser, main
+from spincat.scenarios import ScenarioConfig, coherence_scaling, config_to_dict, paper_config
 
 
 def test_oat_command_writes_tables(tmp_path, capsys):
@@ -106,6 +108,8 @@ def test_lab_check_rejects_zero_dt(capsys):
         ({"quadrupole": {"omega_q_hz": 40e3, "etta": 0.5}}, "'quadrupole.etta'"),
         ({"decoherance": {}}, "'decoherance'"),
         ({"output_stride": 7}, "'output_stride'"),
+        ({"dt": 1e-9}, "'dt'"),
+        ({"output_dir": "results"}, "'output_dir'"),
     ],
 )
 def test_unknown_config_key_is_a_diagnostic_exit(tmp_path, capsys, doc, key):
@@ -169,12 +173,18 @@ def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
         (["decoherence"], {"n_points": 2.7}, "'params.n_points'"),
         (["ramsey"], {"phase_reference_omega": None}, "'params.phase_reference_omega'"),
         (["virtual-phase"], {"t_wait": [1e-6]}, "'params.t_wait'"),
-        (["coherence-scaling"], {"gamma_m": "fast"}, "'params.gamma_m'"),
+        (["coherence-scaling"], {"t_final": "fast"}, "'params.t_final'"),
         (["tact"], {"n_steps": 0}, "'params.n_steps'"),
         (["tact"], {"n_output": False}, "'params.n_output'"),
         (["oat"], {"t_max": 0}, "'params.t_max'"),
         (["coherence-scaling"], {"t_final": -1e-3}, "'params.t_final'"),
         (["ramsey"], {"t_max": -1e-3}, "'params.t_max'"),
+        (["oat"], {"operator": ["y"]}, "'params.operator'"),
+        (["oat"], {"operator": 5}, "'params.operator'"),
+        (["oat"], {"operator": "q"}, "'params.operator'"),
+        (["tact"], {"operator": ["y"]}, "'params.operator'"),
+        (["tact"], {"operator": 5}, "'params.operator'"),
+        (["tact"], {"operator": "q"}, "'params.operator'"),
     ],
 )
 def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, key):
@@ -183,6 +193,18 @@ def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, k
     rc = main([*argv, "--config", str(path)])
     assert rc == 2
     assert f"config key {key} must be" in capsys.readouterr().err
+
+
+def test_coherence_scaling_reads_gamma_m_from_the_decoherence_section(tmp_path, capsys):
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps({"decoherence": {"gamma_m_per_s": 50}}))
+    spins = [1, 3, 7]
+    argv = ["coherence-scaling", "--spins", *map(str, spins), "--out", str(tmp_path)]
+    assert main([*argv, "--config", str(path)]) == 0
+    table = np.loadtxt(tmp_path / "coherence_vs_dimension.csv", delimiter=",", ndmin=2)
+    assert table[:, 0].tolist() == spins
+    want = 0.5 * np.exp(-50.0 * table[:, 0] ** 2 * 1e-3 / 2)
+    np.testing.assert_allclose(table[:, 2], want, rtol=1e-6, atol=0)
 
 
 @pytest.mark.parametrize("fraction", ["0", "nan"])
@@ -274,17 +296,17 @@ def test_lab_check_rejects_a_step_beyond_the_drive_series(capsys):
     assert "||x||_2 dt = 3.5 > 1" in err and "reduce dt" in err
 
 
-def test_lab_check_reads_dt_from_the_config(tmp_path, capsys):
+def test_lab_check_takes_dt_from_its_flag_only(tmp_path, capsys):
     path = tmp_path / "dt.json"
     path.write_text(json.dumps({"dt": 5e-8}))
-    runs = (["--config", str(path)], ["--dt", "5e-8"], [])
+    assert main(["lab-check", "--scale", "400", "--config", str(path)]) == 2
+    assert "unknown config key 'dt'" in capsys.readouterr().err
     printed = []
-    for extra in runs:
+    for extra in (["--dt", "5e-8"], []):
         assert main(["lab-check", "--scale", "400", *extra]) == 0
         printed.append(capsys.readouterr().out.split(";")[0])
-    assert printed[0] == printed[1]
     assert "219 steps of 49.9" in printed[0]
-    assert "10938 steps of 1.000 ns" in printed[2]
+    assert "10938 steps of 1.000 ns" in printed[1]
 
 
 def test_coherence_table_matches_the_row_by_row_bytes(tmp_path, capsys):
@@ -309,9 +331,9 @@ REPLAY_RUNS = {
         {"t_max": 1e-4, "n_points": 11},
     ),
     "coherence-scaling": (["coherence-scaling", "--spins", "3", "5"], {}),
-    "tact": (["tact", "--eta", "0.5", "--b0-hz", "0", "--corner", "--dt", "1e-8"], {"t_max": 1e-7}),
+    "tact": (["tact", "--eta", "0.5", "--b0-hz", "0", "--corner"], {"t_max": 1e-7, "n_steps": 10}),
     "husimi": (["husimi", "--time-fraction", "0.25", "--n-theta", "5", "--n-phi", "9"], {}),
-    "lab-check": (["lab-check", "--scale", "400", "--dt", "1e-9"], {}),
+    "lab-check": (["lab-check", "--scale", "400", "--dt", "2e-9"], {}),
 }
 
 
@@ -349,14 +371,59 @@ def test_a_run_replays_from_its_manifest(tmp_path, capsys, command):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
     replayed = json.loads((second / f"{command}_manifest.json").read_text())
     assert replayed.get("extras") == manifest.get("extras")
+    if command == "lab-check":
+        assert manifest["extras"]["dt"] == 2e-9
 
 
 @pytest.mark.parametrize(
     "command",
-    ["oat", "ramsey", "virtual-phase", "givens", "decoherence", "coherence-scaling", "husimi"],
+    ["oat", "ramsey", "virtual-phase", "givens", "decoherence", "coherence-scaling", "husimi",
+     "tact"],
 )
 def test_dt_is_a_flag_of_the_stepping_commands_only(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--dt", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --dt 5" in capsys.readouterr().err
+
+
+#: Everything a user can set: the dotted config keys, the ScenarioConfig
+#: fields and each subcommand's flags.  A new knob has to be added here.
+SETTABLE = {
+    "config keys": [
+        "spin.twice_i",
+        "fields.gamma_b0_hz", "fields.gamma_b1_hz", "fields.drive_axis",
+        "quadrupole.omega_q_hz", "quadrupole.eta", "quadrupole.euler_rad",
+        "decoherence.gamma_m_per_s", "decoherence.gamma_e_per_s",
+        "params",
+    ],
+    "ScenarioConfig": ["spin", "fields", "quad", "decoherence", "params"],
+    "oat": ["--config", "--out"],
+    "ramsey": ["--config", "--out", "--phase-rule"],
+    "virtual-phase": ["--config", "--out"],
+    "givens": ["--config", "--out", "--mode"],
+    "decoherence": ["--config", "--out", "--gamma-m", "--gamma-e"],
+    "coherence-scaling": ["--config", "--out", "--spins"],
+    "tact": ["--config", "--out", "--eta", "--b0-hz", "--corner"],
+    "husimi": ["--config", "--out", "--time-fraction", "--n-theta", "--n-phi"],
+    "lab-check": ["--config", "--out", "--scale", "--dt"],
+}
+
+
+def test_settable_surface_matches_its_table():
+    keys = []
+    for key, section in config_to_dict(paper_config()).items():
+        keys += [key] if key == "params" else [f"{key}.{sub}" for sub in section]
+    found = {
+        "config keys": keys,
+        "ScenarioConfig": [f.name for f in dataclasses.fields(ScenarioConfig)],
+    }
+    (commands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in commands.choices.items():
+        found[name] = [
+            opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+            for opt in a.option_strings
+        ]
+    assert found == SETTABLE

@@ -80,12 +80,10 @@ _CONFIG_DOCS = st.fixed_dictionaries({
         "gamma_m_per_s": _NONNEGATIVE,
         "gamma_e_per_s": _NONNEGATIVE,
     }),
-    "dt": st.none() | st.floats(1e-12, 1e-3),
     "params": st.dictionaries(
         st.sampled_from(["t_max", "n_points", "operator"]),
         st.floats(1e-9, 1.0) | st.integers(2, 10**6) | st.sampled_from(["x", "y", "z"]),
     ),
-    "output_dir": st.none() | st.text(min_size=1, max_size=8),
 })
 
 
