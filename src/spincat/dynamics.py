@@ -6,10 +6,12 @@ distinct gap.  A time-dependent H is a :class:`Drive`,
 H(t) = h0 + f(t) x with |f| <= 1, stepped by the midpoint rule
 exp(-i H(t_mid) dt).  Every such step map is one polynomial in the scalar
 c = f(t_mid), sum_j c^j M_j; its coefficients come once per run from one
-exponential of a block-bidiagonal matrix, and the maps between two stored
-samples are multiplied pairwise, each product taken one Newton-Schulz step
-toward unitarity.  Both evolvers check their conservation laws (norm,
-trace, positivity) at every stored sample.
+exponential of a block-bidiagonal matrix.  Two consecutive steps a, b are
+one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so the
+steps between two stored samples become one such map per pair (and one
+single-step map for an odd last step), multiplied pairwise and taken one
+Newton-Schulz step toward unitarity.  Both evolvers check their
+conservation laws (norm, trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
 :class:`Drive`.  The Lindblad evolver takes only a constant (d, d) matrix.
@@ -49,8 +51,8 @@ TRACE_ABORT_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-7
 
 #: Size of one chunk's stack of complex step maps in evolve_unitary: 256
-#: steps at d = 8, 1024 at d = 4.  Larger chunks buy little speed and grow
-#: the peak memory of long lab-frame runs.
+#: maps of two steps each at d = 8, 1024 at d = 4.  Larger chunks buy little
+#: speed and grow the peak memory of long lab-frame runs.
 CHUNK_BYTES = 256 * 1024
 
 #: Bound on the truncated tail of the step-map polynomial in the drive
@@ -170,8 +172,9 @@ def propagator(h: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _chunk_steps(d: int) -> int:
-    """Steps per chunk of time-dependent unitary stepping at dimension d."""
-    return max(1, CHUNK_BYTES // (16 * d * d))
+    """Steps per chunk of time-dependent unitary stepping at dimension d:
+    two per map, so that the chunk's maps take ``CHUNK_BYTES``."""
+    return 2 * max(1, CHUNK_BYTES // (16 * d * d))
 
 
 def _drive_terms(drive: Drive, d: int) -> tuple:
@@ -233,30 +236,67 @@ def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarr
     return e[:d].reshape(d, p + 1, d).transpose(1, 0, 2).reshape(p + 1, d * d)
 
 
+def _pair_coefficients(m: np.ndarray, d: int) -> np.ndarray:
+    """N_ji = M_j @ M_i in row j (p + 1) + i of a ((p + 1)^2, d*d) array,
+    from the (p + 1, d*d) step-map coefficients M_j: the map of two steps,
+    c_a then c_b, is sum_ji c_b^j c_a^i N_ji, the product of their two
+    truncated polynomials."""
+    m = m.reshape(-1, d, d)
+    return (m[:, None] @ m[None, :]).reshape(len(m) ** 2, d * d)
+
+
+def _pair_maps(c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: int) -> np.ndarray:
+    """The maps of a run of steps with amplitudes ``c``, as a (k, d, d)
+    stack in time order: sum_ji c_b^j c_a^i N_ji for each pair of steps
+    a, b, then sum_j c^j M_j for the last step of an odd run.
+
+    ``coeffs`` holds the M_j and ``pair_coeffs`` the N_ji of
+    :func:`_pair_coefficients`, both with real and imaginary parts
+    interleaved, so the real monomials multiply them in one real product.
+    """
+    n = len(coeffs)
+    # c^0 ... c^p by repeated multiplication: np.power takes libm's slow
+    # path on negative bases
+    powers = np.empty((n, c.size))
+    powers[0] = 1.0
+    for j in range(1, n):
+        np.multiply(powers[j - 1], c, out=powers[j])
+    half = c.size // 2
+    # monomials[j, i, k] = c_b^j c_a^i for pair k, steps a = 2k and b = 2k + 1
+    monomials = powers[:, None, 1 : 2 * half : 2] * powers[None, :, 0 : 2 * half : 2]
+    maps = np.empty((half + c.size % 2, pair_coeffs.shape[1]))
+    np.matmul(monomials.reshape(n * n, half).T, pair_coeffs, out=maps[:half])
+    if c.size % 2:
+        np.matmul(powers[:, -1], coeffs, out=maps[half])
+    return maps.view(complex).reshape(-1, d, d)
+
+
 def _run_map(u: np.ndarray) -> np.ndarray:
     """u[-1] @ ... @ u[0] for a (k, d, d) stack of step maps, multiplied
     pairwise in ceil(log2 k) batched matmuls, then taken one Newton-Schulz
     step toward the nearest unitary."""
     while len(u) > 1:
-        odd = u[-1:] if len(u) % 2 else u[:0]
-        u = np.concatenate((u[1::2] @ u[0:-1:2], odd))
+        products = u[1::2] @ u[0:-1:2]
+        u = np.concatenate((products, u[-1:])) if len(u) % 2 else products
     u = u[0]
-    # Every step map carries the same rounded M_0, whose fixed unitarity
-    # defect (~1e-17 a step) adds up coherently: over lab-check's 175 000
-    # steps the norm drifts by +-3e-12, its sign set by how M_0 happens to
+    # Every map carries the same rounded M_0 (M_0 M_0 in a pair map), whose
+    # fixed unitarity defect adds up coherently: over lab-check's 175 000
+    # steps the norm drifts by -3.4e-13, its sign set by how M_0 happens to
     # round.  The Newton-Schulz step 1.5 U - 0.5 U U^dagger U cancels the
     # accumulated defect once per run and leaves ~1e-15.
     return 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
 
 
-def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> list:
+def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
     """exp(G k dt) x0 for each step count k in ``steps`` (ascending, from
-    0), with one ``scipy.linalg.expm`` per distinct gap between entries."""
+    0), stacked along the first axis, with one ``scipy.linalg.expm`` per
+    distinct gap between entries."""
     gaps = np.diff(steps).tolist()
     maps = {gap: scipy.linalg.expm(g * (gap * dt)) for gap in set(gaps)}
-    xs = [x0]
-    for gap in gaps:
-        xs.append(maps[gap] @ xs[-1])
+    xs = np.empty((len(steps),) + x0.shape, dtype=complex)
+    xs[0] = x0
+    for i, gap in enumerate(gaps):
+        np.matmul(maps[gap], xs[i], out=xs[i + 1])
     return xs
 
 
@@ -271,12 +311,17 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     the polynomial sum_j c^j M_j in c = f(t_mid): its coefficients come from
     one matrix exponential per call, and its degree p is the smallest with
     a^(p+1) / (p+1)! e^a <= 1e-18, a = ||x||_2 dt (4 for lab-check at
-    1 ns; more at coarser steps).  A step with a > 1 is refused.  The
-    envelope is evaluated a chunk of steps at a time (``CHUNK_BYTES`` of
-    maps), and must be finite with |f| <= 1.  The maps between two stored
-    samples are multiplied pairwise, and their product is taken one
-    Newton-Schulz step toward unitarity before it acts on the state, so the
-    state takes one matrix-vector product per stored sample and chunk.
+    1 ns; more at coarser steps).  A step with a > 1 is refused.  The map
+    of two consecutive steps a, b is the product of their polynomials,
+    sum_ji c_b^j c_a^i N_ji with N_ji = M_j @ M_i: its (p + 1)^2
+    coefficients come from one batched product per call, and it adds no
+    truncation of its own.  The envelope is evaluated a chunk of steps at a
+    time (``CHUNK_BYTES`` of pair maps), and must be finite with |f| <= 1.
+    Between two stored samples each pair of steps takes one pair map and an
+    odd last step one single-step map; the maps are multiplied pairwise, and
+    their product is taken one Newton-Schulz step toward unitarity before it
+    acts on the state, so the state takes one matrix-vector product per
+    stored sample and chunk.
 
     The state norm is checked at every stored sample; a drift beyond 1e-6
     aborts.
@@ -288,9 +333,8 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     if isinstance(h, Drive):
         d = psi.size
         h0, x = _drive_terms(h, d)
-        # real and imaginary parts interleaved, (p + 1, 2 d^2): the real
-        # powers of c then multiply them in one real product
-        coeffs = _step_map_coefficients(h0, x, dt).view(float)
+        m = _step_map_coefficients(h0, x, dt)
+        coeffs, pair_coeffs = m.view(float), _pair_coefficients(m, d).view(float)
         n = grid.n_steps
         chunk = _chunk_steps(d)
         states = [psi]
@@ -298,22 +342,15 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
             k1 = min(k0 + chunk, n)
             t_mid = grid.t_start + (np.arange(k0, k1) + 0.5) * dt
             c = _envelope_values(h, t_mid)
-            # c^0 ... c^p by repeated multiplication: np.power takes libm's
-            # slow path on negative bases
-            powers = np.empty((len(coeffs), c.size))
-            powers[0] = 1.0
-            for j in range(1, len(coeffs)):
-                np.multiply(powers[j - 1], c, out=powers[j])
-            maps = (powers.T @ coeffs).view(complex).reshape(-1, d, d)
-            # runs of maps ending at each stored step inside the chunk
+            # runs of steps ending at each stored step inside the chunk
             cuts = steps[(steps > k0) & (steps <= k1)] - k0
             start = 0
             for cut in cuts.tolist():
-                psi = _run_map(maps[start:cut]) @ psi
+                psi = _run_map(_pair_maps(c[start:cut], coeffs, pair_coeffs, d)) @ psi
                 states.append(psi)
                 start = cut
             if start < k1 - k0:
-                psi = _run_map(maps[start:]) @ psi
+                psi = _run_map(_pair_maps(c[start:], coeffs, pair_coeffs, d)) @ psi
         hint = f"; reduce dt (currently {dt})"
     else:
         h = np.asarray(h, dtype=complex)
@@ -322,7 +359,7 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         states = _sample_exact(-1j * h, psi, steps, dt)
         hint = ""
 
-    traj = Trajectory(times=grid.t_start + steps * dt, states=np.array(states))
+    traj = Trajectory(times=grid.t_start + steps * dt, states=np.asarray(states))
     norms = np.linalg.norm(traj.states[1:], axis=1)
     for t, norm in zip(traj.times[1:], norms):
         if abs(norm - 1.0) > NORM_ABORT_TOL:

@@ -642,12 +642,21 @@ def _tact_single(
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     traj = evolve_unitary(h, psi0, grid)
 
-    # undo the Larmor precession only (frame co-rotating at gamma*B0)
-    corotate = np.exp(1j * np.multiply.outer(fields.gamma_b0 * traj.times, spin.m_values))
-    states = corotate * traj.states
-    vals = effective_sizes(states, _measure_operator(spin, tag), spin)
+    # undo the Larmor precession only (frame co-rotating at gamma*B0), in
+    # place, and measure a CHUNK_BYTES slice of the states at a time
+    op = _measure_operator(spin, tag)
+    vals = np.empty(len(traj.times))
+    chunk = max(1, CHUNK_BYTES // traj.states[0].nbytes)
+    for k in range(0, len(vals), chunk):
+        part = slice(k, k + chunk)
+        states = traj.states[part]
+        corotate = np.exp(1j * np.multiply.outer(fields.gamma_b0 * traj.times[part], spin.m_values))
+        # corotate first: numpy's complex product can round differently in
+        # the last bit with its operands swapped
+        np.multiply(corotate, states, out=states)
+        vals[part] = effective_sizes(states, op, spin)
     series = SizeSeries(times=traj.times, values=vals, operator_tag=tag)
-    hus = husimi_q(states[int(np.argmax(vals))], spin) if with_husimi else None
+    hus = husimi_q(traj.states[int(np.argmax(vals))], spin) if with_husimi else None
     return TactResult(
         eta=float(eta),
         gamma_b0=float(gamma_b0),

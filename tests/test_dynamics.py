@@ -8,10 +8,14 @@ from numpy.testing import assert_allclose
 
 from spincat.control import PulseSegment, ToneSpec, rotation_params
 from spincat.dynamics import (
+    CHUNK_BYTES,
+    TAYLOR_TAIL_TOL,
     DecoherenceSpec,
     Drive,
     TimeGrid,
     _chunk_steps,
+    _pair_coefficients,
+    _pair_maps,
     _step_map_coefficients,
     evolve_lindblad,
     evolve_unitary,
@@ -187,11 +191,21 @@ def test_chunked_unitary_matches_per_step_oracle():
     oracle = reference_final_state(drive, psi0, grid, refine=1)
     assert np.linalg.norm(traj.final_state - oracle) <= 1e-10
     # per-step expm drifts ~3e-14 here; the products without their
-    # Newton-Schulz step drift -3.1e-13, which moves printed infidelities
+    # Newton-Schulz step drift -1.2e-13, which moves printed infidelities
     assert abs(np.linalg.norm(traj.final_state) - 1.0) <= 3e-13
     expected = [grid.t_start + j * stride * grid.step for j in range(n_steps // stride + 1)]
     expected.append(grid.t_start + n_steps * grid.step)
     assert traj.times.tolist() == expected
+
+
+def test_lab_check_drive_run_keeps_its_norm_to_rounding():
+    # lab-check's 175 000 steps at 2I = 7 in one run: 1.1e-15 measured;
+    # without the run's Newton-Schulz step the norm drifts by -3.4e-13
+    spin, drive, t_half = lab_check_drive()
+    grid = TimeGrid(0.0, t_half, dt=1e-9)
+    assert grid.n_steps == 175000
+    psi = evolve_unitary(drive, eigenstate(spin, spin.i), grid).final_state
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-14
 
 
 def test_unitary_rejects_wrong_drive_shape():
@@ -249,26 +263,50 @@ def test_coarse_drive_grid_takes_a_higher_degree_and_matches_the_oracle():
     assert np.linalg.norm(main - oracle) <= 2e-12  # 5.2e-13 measured
 
 
-@pytest.mark.parametrize("stride", [1, 100, 256, 512, 700])
+@pytest.mark.parametrize("stride", [1, 7, 100, 255, 256, 511, 512, 513, 700])
 def test_drive_samples_match_per_step_expm_at_every_stride(stride):
-    # 700 steps over chunks of 256: strides land inside chunks, on chunk
-    # edges, on both, and only at the end
+    # 700 and 1101 steps over chunks of 512 (256 maps of two steps each):
+    # strides land inside chunks, on chunk edges, on both, and only at the
+    # end; odd strides and the odd 1101 leave runs that end in a
+    # single-step map
     spin, drive, _ = lab_check_drive()
     chunk = _chunk_steps(spin.dimension)
-    assert chunk == 256
-    grid = TimeGrid(0.0, 700e-9, dt=1e-9, output_stride=stride)
-    psi0 = eigenstate(spin, spin.i)
-    traj = evolve_unitary(drive, psi0, grid)
+    assert chunk == 512
     h0, x = np.asarray(drive.h0), np.asarray(drive.x)
-    t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
-    psis = [psi0.astype(complex)]
-    for c in drive.envelope(t_mid):
-        psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
-    steps = grid.sample_steps
-    assert traj.times.tolist() == (grid.t_start + steps * grid.step).tolist()
-    assert len(traj.states) == len(steps)
-    for state, k in zip(traj.states, steps):
-        assert np.linalg.norm(state - psis[k]) <= 1e-12
+    psi0 = eigenstate(spin, spin.i)
+    for n_steps in (700, 1101):
+        grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
+        assert grid.n_steps == n_steps
+        traj = evolve_unitary(drive, psi0, grid)
+        t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
+        psis = [psi0.astype(complex)]
+        for c in drive.envelope(t_mid):
+            psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
+        steps = grid.sample_steps
+        assert traj.times.tolist() == (grid.t_start + steps * grid.step).tolist()
+        assert len(traj.states) == len(steps)
+        for state, k in zip(traj.states, steps):
+            assert np.linalg.norm(state - psis[k]) <= 1e-12
+
+
+def test_drive_stepping_peak_memory_stays_below_two_chunks_of_maps():
+    # a chunk's stack of 256 pair maps takes CHUNK_BYTES and its first
+    # product level half that: 1.66 CHUNK_BYTES measured; chunks of 256
+    # single-step maps peak at 2.08
+    import tracemalloc
+
+    spin, drive, _ = lab_check_drive()
+    grid = TimeGrid(0.0, 20003e-9, dt=1e-9)
+    assert grid.n_steps == 20003
+    psi0 = eigenstate(spin, spin.i)
+    evolve_unitary(drive, psi0, grid)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        evolve_unitary(drive, psi0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * CHUNK_BYTES
 
 
 def test_step_map_coefficients_match_mpmath_expm():
@@ -303,6 +341,29 @@ def test_step_map_coefficients_match_mpmath_expm():
             # one ulp at |u_rs| ~ 1, plus the 1e-18 tail bound
             assert np.max(np.abs(poly - u)) <= 2.3e-16
     assert np.max(np.abs(coeffs - exact)) <= 2.3e-16
+
+
+def test_pair_map_matches_mpmath_product_of_two_steps():
+    # 30-digit oracle for the map of two 1 ns steps at 2I = 3: the pair
+    # polynomial sum_ji c_b^j c_a^i N_ji against expm(A + c_b B) expm(A + c_a B)
+    import mpmath
+
+    spin, drive, _ = lab_check_drive(twice_i=3)
+    d, dt = spin.dimension, 1e-9
+    h0, x = np.asarray(drive.h0, dtype=complex), np.asarray(drive.x, dtype=complex)
+    m = _step_map_coefficients(h0, x, dt)
+    coeffs, pair_coeffs = m.view(float), _pair_coefficients(m, d).view(float)
+    assert pair_coeffs.shape == (25, 2 * d * d)
+    with mpmath.workdps(30):
+        a = mpmath.matrix((-1j * dt * h0).tolist())
+        b = mpmath.matrix((-1j * dt * x).tolist())
+        for c_a, c_b in ((-1.0, 1.0), (0.37, -0.81), (1.0, 1.0)):
+            u = mpmath.expm(a + c_b * b) * mpmath.expm(a + c_a * b)
+            u = np.array([[complex(u[r, s]) for s in range(d)] for r in range(d)])
+            maps = _pair_maps(np.array([c_a, c_b]), coeffs, pair_coeffs, d)
+            assert maps.shape == (1, d, d)
+            # 2.2e-16 measured: two ulp at |u_rs| ~ 1, plus twice the tail bound
+            assert np.max(np.abs(maps[0] - u)) <= 2 * np.spacing(1.0) + 2 * TAYLOR_TAIL_TOL
 
 
 def test_lindblad_closed_system_matches_unitary():

@@ -437,11 +437,22 @@ def test_tact_aligned_oat_cat():
 def test_tact_corotating_frame_removes_larmor_precession():
     # aligned symmetric EFG: H = gamma*B0 Iz + f(Iz) is diagonal, so in the
     # frame co-rotating at gamma*B0 the state is the field-free one
-    # 3000 steps of 1 ns with and without the field
-    cfg = paper_config(params={"t_max": 3e-6, "n_steps": 3000, "n_output": 300})
+    # 3000 steps of 1 ns with and without the field, every step stored: the
+    # 3001 states are corotated and measured in two CHUNK_BYTES slices
+    cfg = paper_config(params={"t_max": 3e-6, "n_steps": 3000, "n_output": 3000})
+    assert CHUNK_BYTES // (16 * cfg.spin.dimension) < 3001
     free, field = tact_oat_comparison(cfg, eta_list=[0.0], b0_list=[0.0, cfg.fields.gamma_b0])
     assert np.array_equal(field.series.times, free.series.times)
     assert np.max(np.abs(field.series.values - free.series.values)) <= 1e-9
+    # and the field-free state is exp(-i E t) psi0, H diagonal (6.4e-13 measured)
+    spin = cfg.spin
+    energies = np.diag(static_hamiltonian(replace(cfg.fields, gamma_b0=0.0), cfg.quad, spin))
+    states = np.exp(-1j * np.multiply.outer(free.series.times, energies)) * coherent_state(
+        spin, np.pi / 2, 0.0
+    )
+    iy = spin_operators(spin).Iy
+    expected = [effective_size(state, iy, spin) for state in states]
+    assert np.max(np.abs(field.series.values - expected)) <= 1e-9
 
 
 def test_config_round_trip_and_manifest(tmp_path):
