@@ -143,8 +143,8 @@ def _cmd_coherence_scaling(cfg, args, out) -> None:
         _write_table(
             os.path.join(out, "coherence_vs_dimension.csv"),
             ["twice_i,dimension,coherence,analytic"],
-            [f"{row.twice_i},{row.dimension}" for row in rows],
             [[row.coherence, row.analytic] for row in rows],
+            [f"{row.twice_i},{row.dimension}" for row in rows],
         )
 
 

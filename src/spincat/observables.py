@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _floattext
 from .spin import DM_HERMITICITY_TOL, SpinQuantum, is_hermitian
 
 __all__ = [
@@ -24,6 +25,9 @@ __all__ = [
     "save_size_series",
     "save_husimi",
 ]
+
+#: Lines of a table formatted and written at a time.
+_BLOCK_ROWS = 4096
 
 HUSIMI_CONVENTION = "Q = (2I+1)/(4*pi) * <coherent|rho|coherent>; sphere integral 1"
 
@@ -70,14 +74,21 @@ class SizeSeries:
         return float(self.times[int(np.argmax(self.values))])
 
 
-def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
-    """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
-    density matrices.  The observable is checked once for the whole stack,
-    and the variance clamp of :func:`expectation_and_variance` applies to
-    each state."""
+def _checked_observable(op) -> np.ndarray:
+    """``op`` as an array, after checking that it is Hermitian within 1e-12.
+    A caller that measures one observable over many stacks checks it once
+    here and then calls :func:`_effective_sizes` for each stack."""
     op = np.asarray(op)
     if not is_hermitian(op, 1e-12):
         raise ValueError("observable must be Hermitian")
+    return op
+
+
+def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
+    """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
+    density matrices, for an observable from :func:`_checked_observable`.
+    The variance clamp of :func:`expectation_and_variance` applies to each
+    state."""
     states = np.asarray(states)
     d = op.shape[0]
     if states.shape[1:] not in ((d,), (d, d)):
@@ -101,7 +112,7 @@ def expectation_and_variance(state: np.ndarray, op: np.ndarray) -> tuple:
     Variance is clamped to zero within -1e-12 to absorb rounding; a more
     negative value indicates an inconsistent input and raises.
     """
-    e, var = _moments(np.asarray(state)[None], op)
+    e, var = _moments(np.asarray(state)[None], _checked_observable(op))
     return float(e[0]), float(var[0])
 
 
@@ -115,6 +126,11 @@ def effective_size(state: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> floa
 def effective_sizes(states: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> np.ndarray:
     """:func:`effective_size` of every state of a stack, one array dimension
     above a single state: (n, d) pure states or (n, d, d) density matrices."""
+    return _effective_sizes(states, _checked_observable(op), spin)
+
+
+def _effective_sizes(states: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> np.ndarray:
+    """:func:`effective_sizes` for an observable from :func:`_checked_observable`."""
     _, var = _moments(states, op)
     return 2.0 * var / spin.i
 
@@ -202,40 +218,65 @@ def flip_probability_peak(gamma_b1: float, delta_omega: float) -> float:
     return float(gamma_b1 ** 2 / omega_sq)
 
 
-def _write_table(path, header, keys, values, outer=()) -> None:
+def _left_justify(text: np.ndarray) -> np.ndarray:
+    """NUL-padded rows with every NUL moved to the end, as narrow as the
+    longest row allows."""
+    filled = text != 0
+    lengths = filled.sum(axis=1)
+    out = np.zeros((len(text), lengths.max(initial=0)), dtype=np.uint8)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = text[filled]
+    return out
+
+
+def _write_table(path, header, values, keys=(), outer=()) -> None:
     """Write a CSV table under a commented header.
 
-    ``header`` lines are written after "# ".  The body has one block of rows
-    per entry of ``outer`` (one block when it is empty); row j of block i is
-    ``outer[i],keys[j],values[i, j, 0],...``.  ``keys`` are preformatted
-    strings; ``outer`` and ``values`` are written as ``repr`` of Python
-    floats, each formatted once.  A block is converted and written at a
-    time: a whole-table ``tolist`` of a 2I = 7 Husimi grid raises a run's
-    peak RSS by ~2 MiB of float objects.
+    ``header`` lines are written after "# ".  ``values`` is an (n, c) array;
+    line r is ``outer[r // len(keys)],keys[r % len(keys)],values[r, 0],...``,
+    without the ``outer`` or ``keys`` cell when that sequence is empty.  So
+    ``keys`` repeat in every block of lines and each ``outer`` value leads one
+    block.  ``keys`` are floats or preformatted strings.  Every float is
+    written as Python's shortest round-trip ``repr``, so the table reads back
+    to the same float64 values.
+
+    The text is built as uint8 rows, ``_BLOCK_ROWS`` lines at a time: one
+    NUL-padded row per cell from :func:`_floattext.float_text`, commas and a
+    newline between them, and the NULs deleted from the block's bytes.  Only
+    ``keys`` and ``outer`` are formatted once for the whole table, so its
+    temporaries are those of a fixed number of lines plus the text of those
+    two sequences (~1.9 MB for a 181 x 361 Husimi grid, as for one block).
     """
-    leads = [f"{o!r}," for o in np.asarray(outer, dtype=float).tolist()] or [""]
     values = np.asarray(values, dtype=float)
-    n_rows = len(leads) * len(keys)
-    values = values.reshape(len(leads), len(keys), values.size // max(n_rows, 1))
-    with open(path, "w") as fh:
-        fh.write("".join(f"# {line}\n" for line in header))
-        for lead, block in zip(leads, values.transpose(0, 2, 1)):
-            rows = zip(keys, *(map(repr, col) for col in block.tolist()))
-            fh.write("".join(lead + ",".join(row) + "\n" for row in rows))
-
-
-def _float_keys(xs) -> list:
-    return [repr(x) for x in np.asarray(xs, dtype=float).tolist()]
+    keys = np.asarray(keys)
+    if keys.dtype.kind == "U":
+        key_text = keys.astype("S").view(np.uint8).reshape(len(keys), -1)
+    else:
+        key_text = _left_justify(_floattext.float_text(keys))
+    lead_text = _left_justify(_floattext.float_text(outer))
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {line}\n" for line in header).encode())
+        for start in range(0, len(values), _BLOCK_ROWS):
+            rows = np.arange(start, min(start + _BLOCK_ROWS, len(values)))
+            comma = np.full((len(rows), 1), ord(","), dtype=np.uint8)
+            cells = []
+            if len(lead_text):
+                cells += [np.take(lead_text, rows // len(keys), axis=0), comma]
+            if len(key_text):
+                cells += [np.take(key_text, rows % len(keys), axis=0), comma]
+            for column in values[rows].T:
+                cells += [_floattext.float_text(column), comma]
+            cells[-1] = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
+            fh.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0"))
 
 
 def save_size_series(series: SizeSeries, path, header_extra: str = "") -> None:
     """Write a two-column (t, N_eff) table with a commented header."""
     header = [f"operator: {series.operator_tag}", header_extra, "t,N_eff"]
-    _write_table(path, filter(None, header), _float_keys(series.times), series.values)
+    _write_table(path, filter(None, header), np.column_stack([series.times, series.values]))
 
 
 def save_husimi(grid: HusimiGrid, path, header_extra: str = "") -> None:
     """Write a three-column (theta, phi, Q) table with spin and convention."""
     header = [f"twice_i: {grid.spin.twice_i}", f"convention: {grid.convention}",
               header_extra, "theta_rad,phi_rad,Q"]
-    _write_table(path, filter(None, header), _float_keys(grid.phis), grid.values, grid.thetas)
+    _write_table(path, filter(None, header), grid.values.reshape(-1, 1), grid.phis, grid.thetas)

@@ -52,7 +52,14 @@ from .hamiltonian import (
     energy_ladder,
     static_hamiltonian,
 )
-from .observables import SizeSeries, cat_coherence, effective_sizes, husimi_q
+from .observables import (
+    SizeSeries,
+    _checked_observable,
+    _effective_sizes,
+    cat_coherence,
+    effective_sizes,
+    husimi_q,
+)
 from .spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
 __all__ = [
@@ -390,10 +397,10 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     rho0 = np.outer(psi0, psi0.conj())
     rho1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
     u2_dag = u2.conj().T
-    iz = spin_operators(spin).Iz
+    iz = _checked_observable(spin_operators(spin).Iz)
     chunk = max(1, CHUNK_BYTES // rho1.nbytes)
     vals = [
-        effective_sizes(u2 @ _dephased(rho1, dec, nu, t, spin) @ u2_dag, iz, spin)
+        _effective_sizes(u2 @ _dephased(rho1, dec, nu, t, spin) @ u2_dag, iz, spin)
         for t in np.split(t_values, range(chunk, t_values.size, chunk))
     ]
     return SizeSeries(times=t_values, values=np.concatenate(vals), operator_tag="Iz")
@@ -644,7 +651,7 @@ def _tact_single(
 
     # undo the Larmor precession only (frame co-rotating at gamma*B0), in
     # place, and measure a CHUNK_BYTES slice of the states at a time
-    op = _measure_operator(spin, tag)
+    op = _checked_observable(_measure_operator(spin, tag))
     vals = np.empty(len(traj.times))
     chunk = max(1, CHUNK_BYTES // traj.states[0].nbytes)
     for k in range(0, len(vals), chunk):
@@ -654,7 +661,7 @@ def _tact_single(
         # corotate first: numpy's complex product can round differently in
         # the last bit with its operands swapped
         np.multiply(corotate, states, out=states)
-        vals[part] = effective_sizes(states, op, spin)
+        vals[part] = _effective_sizes(states, op, spin)
     series = SizeSeries(times=traj.times, values=vals, operator_tag=tag)
     hus = husimi_q(traj.states[int(np.argmax(vals))], spin) if with_husimi else None
     return TactResult(

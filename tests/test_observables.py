@@ -17,9 +17,12 @@ from spincat.observables import (
     flip_probability_peak,
     husimi_q,
     revival_peaks,
+    _BLOCK_ROWS,
+    _write_table,
     save_husimi,
     save_size_series,
 )
+from spincat.scenarios import coherence_scaling, paper_config
 from spincat.spin import (
     SpinQuantum,
     coherent_state,
@@ -404,18 +407,87 @@ def _row_by_row_husimi(grid, path, header_extra=""):
             fh.write(f"{float(theta)!r},{float(phi)!r},{float(q)!r}\n")
 
 
-@pytest.mark.parametrize("header_extra", ["", "gamma_m_per_s: 10.0, gamma_e_per_s: 0.1"])
-def test_table_writers_match_the_row_by_row_bytes(tmp_path, header_extra):
+def _coherence_table(rows, path, header_extra=""):
+    # the call of `spincat coherence-scaling`, with the header line added
+    _write_table(
+        path,
+        filter(None, [header_extra, "twice_i,dimension,coherence,analytic"]),
+        [[row.coherence, row.analytic] for row in rows],
+        [f"{row.twice_i},{row.dimension}" for row in rows],
+    )
+
+
+def _row_by_row_coherence(rows, path, header_extra=""):
+    # the writer `spincat coherence-scaling` had before the shared table writer
+    with open(path, "w") as fh:
+        if header_extra:
+            fh.write(f"# {header_extra}\n")
+        fh.write("# twice_i,dimension,coherence,analytic\n")
+        for row in rows:
+            fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")
+
+
+def _writer_cases():
+    """(writer, row-by-row oracle, table) for every kind of table written."""
     rng = np.random.default_rng(7)
     # values that repr differently: integers, tiny and huge magnitudes, 0.1
     times = np.concatenate([[0.0, 0.1, 1e-300, 3], rng.uniform(0, 1e-3, 200)])
     series = SizeSeries(times=times, values=rng.normal(size=times.size) * 1e12, operator_tag="Iy")
+    # more lines than one block, with NaN, +-inf, -0.0 and subnormals in both columns
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-5]
+    n = 5000
+    times = np.concatenate([special, np.linspace(0.0, 1e-2, n - len(special))])
+    values = np.concatenate([rng.normal(size=n - len(special)) * 1e-3, special])
+    odd_series = SizeSeries(times=times, values=values, operator_tag="Iz")
     spin = SpinQuantum(7)
     grid = husimi_q(coherent_state(spin, 1.1, 0.4), spin, n_theta=19, n_phi=37)
-    for write, oracle, table in (
-        (save_size_series, _row_by_row_size_series, series),
-        (save_husimi, _row_by_row_husimi, grid),
-    ):
+    # the default grid at 2I = 25 of |I,I>: 65 341 lines, Q = (d/4pi) cos(theta/2)^50
+    # down to 2.3e-103 next to the south pole and 0.0 on it
+    spin = SpinQuantum(25)
+    full_grid = husimi_q(eigenstate(spin, spin.i), spin)
+    rows = coherence_scaling(paper_config(), list(range(1, 26)))
+    return {
+        "size series": (save_size_series, _row_by_row_size_series, series),
+        "size series, non-finite": (save_size_series, _row_by_row_size_series, odd_series),
+        "husimi": (save_husimi, _row_by_row_husimi, grid),
+        "husimi, 2I=25 default grid": (save_husimi, _row_by_row_husimi, full_grid),
+        "coherence": (_coherence_table, _row_by_row_coherence, rows),
+    }
+
+
+def test_writer_cases_reach_the_edges_of_the_format():
+    cases = _writer_cases()
+    q = cases["husimi, 2I=25 default grid"][2].values
+    assert q.size == 181 * 361 and q.size > 4 * _BLOCK_ROWS
+    assert repr(float(q[q > 0].min())).endswith("e-103")
+    assert np.any(q == 0)
+    assert len(cases["size series, non-finite"][2].times) > _BLOCK_ROWS
+
+
+@pytest.mark.parametrize("header_extra", ["", "gamma_m_per_s: 10.0, gamma_e_per_s: 0.1"])
+def test_table_writers_match_the_row_by_row_bytes(tmp_path, header_extra):
+    for case, (write, oracle, table) in _writer_cases().items():
         write(table, tmp_path / "new.csv", header_extra=header_extra)
         oracle(table, tmp_path / "old.csv", header_extra=header_extra)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+        assert new == old, case
+
+
+def test_table_writer_memory_is_that_of_one_block_of_lines(tmp_path):
+    # 11 x 361 = 3971 lines fit in one block; 181 x 361 = 65 341 take 16
+    spin = SpinQuantum(25)
+    state = coherent_state(spin, 1.1, 0.4)
+    peaks = []
+    for n_theta in (11, 181):
+        grid = husimi_q(state, spin, n_theta=n_theta)
+        tracemalloc.start()
+        try:
+            save_husimi(grid, tmp_path / "q.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 11 * 361 <= _BLOCK_ROWS < 181 * 361
+    # measured 1.86 and 1.93 MB: the 16 blocks cost what one does
+    assert peaks[1] < 1.25 * peaks[0]
+    # and less than the bytes of the full grid's text (3.8 MB)
+    assert peaks[1] < (tmp_path / "q.csv").stat().st_size / 1.5

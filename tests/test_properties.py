@@ -8,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spincat._floattext import float_text
 from spincat.control import (
     PulseSchedule,
     PulseSegment,
@@ -181,3 +182,38 @@ def test_lindblad_states_keep_unit_trace_and_stay_positive(case):
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-10
     assert np.array_equal(states[1:], states[1:].conj().swapaxes(1, 2))
     assert np.linalg.eigvalsh(states).min() >= -1e-10
+
+
+def _lines(x: np.ndarray) -> list:
+    """The text of float_text for each value of x, as strings."""
+    rows = np.concatenate([float_text(x), np.full((x.size, 1), ord("\n"), np.uint8)], axis=1)
+    return rows.tobytes().translate(None, b"\0").decode().splitlines()
+
+
+@given(st.integers(0, 2**64 - 1))
+@example(0x7FF8000000000001)  # a NaN with a payload
+@example(0xFFF0000000000000)  # -inf
+@example(0x0000000000000001)  # the least subnormal
+def test_float_text_is_repr_of_any_bit_pattern(bits):
+    x = np.array([bits], dtype=np.uint64).view(np.float64)
+    assert _lines(x) == [repr(float(x[0]))]
+
+
+def test_float_text_is_repr_at_the_edges_of_the_format():
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    # powers of two at both ends of the exponent range: subnormal, normal,
+    # and the largest, where the lower neighbour is half as far
+    edges += [2.0**e for e in range(-1074, -1000)] + [2.0**e for e in range(950, 1024)]
+    # either side of repr's switches to and from the exponent form
+    for switch in (1e-4, 1e16):
+        edges += [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)]
+    edges += [9.999999999999999e22, 1e23, np.nan, np.inf]
+    x = np.array(edges + [-e for e in edges])
+    assert _lines(x) == [repr(v) for v in x.tolist()]
+
+
+def test_float_text_is_repr_on_a_sweep_of_random_bit_patterns():
+    rng = np.random.default_rng(14)
+    bits = rng.integers(0, 2**64 - 1, 200_000, dtype=np.uint64, endpoint=True)
+    x = bits.view(np.float64)
+    assert _lines(x) == [repr(v) for v in x.tolist()]

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import spincat.observables
+
 from spincat.control import (
     ToneSpec,
     cat_schedule,
@@ -453,6 +455,31 @@ def test_tact_corotating_frame_removes_larmor_precession():
     iy = spin_operators(spin).Iy
     expected = [effective_size(state, iy, spin) for state in states]
     assert np.max(np.abs(field.series.values - expected)) <= 1e-9
+
+
+def test_sweeps_check_their_observable_once_per_case(monkeypatch):
+    # tact and the decoherence sweep measure one constant observable a
+    # CHUNK_BYTES slice of states at a time, and check it once per case
+    checks = []
+    original = spincat.observables.is_hermitian
+
+    def counting(a, tol):
+        checks.append(tol)
+        return original(a, tol)
+
+    monkeypatch.setattr(spincat.observables, "is_hermitian", counting)
+    cfg = paper_config(params={"t_max": 3e-6, "n_steps": 3000, "n_output": 3000})
+    assert CHUNK_BYTES // (16 * cfg.spin.dimension) < 3001  # two slices a case
+    tact_oat_comparison(cfg, eta_list=[0.0], b0_list=[0.0, cfg.fields.gamma_b0])
+    assert len(checks) == 2
+    cfg = paper_config(params={"t_max": 1e-3, "n_points": 600})
+    assert CHUNK_BYTES // (16 * cfg.spin.dimension**2) < 600  # three slices a case
+    decoherence_sweep(cfg, gamma_m_list=[10.0, 20.0], gamma_e_list=[0.1])
+    assert len(checks) == 4
+    # a measurement of its own still checks its observable
+    with pytest.raises(ValueError, match="observable must be Hermitian"):
+        effective_size(coherent_state(cfg.spin, 0.3, 0.0), np.triu(np.ones((8, 8))), cfg.spin)
+    assert len(checks) == 5
 
 
 def test_config_round_trip_and_manifest(tmp_path):
