@@ -3,10 +3,11 @@
 A constant generator (-iH, or the Lindblad Liouvillian) is propagated
 exactly from one stored sample to the next, one matrix exponential per
 distinct gap.  A time-dependent H is a :class:`Drive`,
-H(t) = h0 + f(t) x with |f| <= 1, stepped by the midpoint rule
-exp(-i H(t_mid) dt).  Every such step map is one polynomial in the scalar
-c = f(t_mid), sum_j c^j M_j; its coefficients come once per run from one
-exponential of a block-bidiagonal matrix.  Two consecutive steps a, b are
+H(t) = h0 + f(t) x with f the envelope of a multi-tone pulse, |f| <= 1,
+stepped by the midpoint rule exp(-i H(t_mid) dt).  The amplitudes c =
+f(t_mid) come from tone phasors, one small product per chunk of steps.
+Every step map is one polynomial in c, sum_j c^j M_j; its coefficients
+come once per run from one exponential of a block-bidiagonal matrix.  Two consecutive steps a, b are
 one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so the
 steps between two stored samples become one such map per pair (and one
 single-step map for an odd last step), multiplied pairwise and taken one
@@ -20,13 +21,14 @@ The dense oracles are for tests.
 
 from __future__ import annotations
 
+import itertools
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from .control import PulseSegment
 from .spin import _require_finite, check_density_matrix, check_pure_state, is_hermitian
 
 __all__ = [
@@ -58,10 +60,6 @@ CHUNK_BYTES = 256 * 1024
 #: Bound on the truncated tail of the step-map polynomial in the drive
 #: amplitude; the degree is the smallest that meets it (see evolve_unitary).
 TAYLOR_TAIL_TOL = 1e-18
-
-#: Rounding allowance on |f| <= 1 for a drive envelope (PulseSegment allows
-#: its summed tone amplitudes the same).
-ENVELOPE_TOL = 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -151,16 +149,21 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Drive:
-    """Time-dependent Hamiltonian H(t) = h0 + envelope(t) x.
+    """Time-dependent Hamiltonian H(t) = h0 + f(t) x, f = pulse.envelope.
 
-    ``h0`` and ``x`` are Hermitian (d, d) matrices; ``envelope`` maps a 1-D
-    array of times to the drive amplitude at each, finite with |f| <= 1
-    (a :meth:`PulseSegment.envelope`, for one).
+    ``h0`` and ``x`` are Hermitian (d, d) matrices; ``pulse`` is a
+    :class:`PulseSegment`, whose tones are finite with summed amplitudes at
+    most 1 (+1e-12 rounding), so |f| <= 1 at every time.
     """
 
     h0: np.ndarray
     x: np.ndarray
-    envelope: Callable
+    pulse: PulseSegment
+
+    def __post_init__(self):
+        if not isinstance(self.pulse, PulseSegment):
+            got = type(self.pulse).__name__
+            raise TypeError(f"drive.pulse must be a PulseSegment, got {got}")
 
 
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
@@ -188,21 +191,6 @@ def _drive_terms(drive: Drive, d: int) -> tuple:
             raise ValueError(f"drive.{name} is not Hermitian")
         terms.append(a)
     return tuple(terms)
-
-
-def _envelope_values(drive: Drive, t: np.ndarray) -> np.ndarray:
-    """The drive envelope at the midpoint times ``t``, checked finite with
-    |f| <= 1 (the bound the step-map polynomial is truncated for)."""
-    f = np.asarray(drive.envelope(t), dtype=float)
-    if f.shape != t.shape:
-        raise ValueError(
-            f"drive.envelope must map {t.size} times to shape {t.shape}, got {f.shape}"
-        )
-    ok = np.abs(f) <= 1.0 + ENVELOPE_TOL  # False for NaN
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise ValueError(f"drive envelope is {f[i]} at t = {float(t[i])}; need finite |f| <= 1")
-    return f
 
 
 def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
@@ -290,13 +278,29 @@ def _run_map(u: np.ndarray) -> np.ndarray:
 def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
     """exp(G k dt) x0 for each step count k in ``steps`` (ascending, from
     0), stacked along the first axis, with one ``scipy.linalg.expm`` per
-    distinct gap between entries."""
+    distinct gap between entries.
+
+    A run of r equal gaps with map U is filled by doubling: the run's known
+    states times U, then U^2, U^4, ..., one batched product each, so
+    ceil(log2(r + 1)) products instead of r.
+    """
     gaps = np.diff(steps).tolist()
     maps = {gap: scipy.linalg.expm(g * (gap * dt)) for gap in set(gaps)}
     xs = np.empty((len(steps),) + x0.shape, dtype=complex)
     xs[0] = x0
-    for i, gap in enumerate(gaps):
-        np.matmul(maps[gap], xs[i], out=xs[i + 1])
+    start = 0
+    for gap, run in itertools.groupby(gaps):
+        end = start + len(list(run))  # the run fills xs[start + 1 : end + 1]
+        power, block = maps[gap].T, 1  # xs[k] @ power is xs[k + block]
+        done = start
+        while done < end:
+            k = min(block, end - done)
+            src = done + 1 - block
+            np.matmul(xs[src : src + k], power, out=xs[done + 1 : done + 1 + k])
+            done += k
+            if done < end:
+                power, block = power @ power, 2 * block
+        start = end
     return xs
 
 
@@ -315,10 +319,13 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     of two consecutive steps a, b is the product of their polynomials,
     sum_ji c_b^j c_a^i N_ji with N_ji = M_j @ M_i: its (p + 1)^2
     coefficients come from one batched product per call, and it adds no
-    truncation of its own.  The envelope is evaluated a chunk of steps at a
-    time (``CHUNK_BYTES`` of pair maps), and must be finite with |f| <= 1.
-    Between two stored samples each pair of steps takes one pair map and an
-    odd last step one single-step map; the maps are multiplied pairwise, and
+    truncation of its own.  The amplitudes come a chunk of steps at a time
+    (``CHUNK_BYTES`` of pair maps) from
+    :meth:`PulseSegment.midpoint_amplitudes`: per chunk one complex
+    exponential per tone and one small product with a phasor table built
+    once per call, |c| <= 1 by the segment's own checks.  Between two
+    stored samples each pair of steps takes one pair map and an odd last
+    step one single-step map; the maps are multiplied pairwise, and
     their product is taken one Newton-Schulz step toward unitarity before it
     acts on the state, so the state takes one matrix-vector product per
     stored sample and chunk.
@@ -338,10 +345,9 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         n = grid.n_steps
         chunk = _chunk_steps(d)
         states = [psi]
-        for k0 in range(0, n, chunk):
-            k1 = min(k0 + chunk, n)
-            t_mid = grid.t_start + (np.arange(k0, k1) + 0.5) * dt
-            c = _envelope_values(h, t_mid)
+        amplitudes = h.pulse.midpoint_amplitudes(grid.t_start, dt, n, chunk)
+        for k0, c in zip(range(0, n, chunk), amplitudes):
+            k1 = k0 + c.size
             # runs of steps ending at each stored step inside the chunk
             cuts = steps[(steps > k0) & (steps <= k1)] - k0
             start = 0
@@ -361,9 +367,10 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
 
     traj = Trajectory(times=grid.t_start + steps * dt, states=np.asarray(states))
     norms = np.linalg.norm(traj.states[1:], axis=1)
-    for t, norm in zip(traj.times[1:], norms):
-        if abs(norm - 1.0) > NORM_ABORT_TOL:
-            raise IntegrationError(f"norm drifted to {norm} at t = {t}{hint}")
+    bad = ~(np.abs(norms - 1.0) <= NORM_ABORT_TOL)  # True for NaN
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IntegrationError(f"norm drifted to {norms[i]} at t = {traj.times[i + 1]}{hint}")
     return traj
 
 
@@ -391,11 +398,14 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     times = grid.t_start + steps * grid.step
     traces = np.trace(states[1:], axis1=1, axis2=2).real
     lows = np.linalg.eigvalsh(states[1:]).min(axis=1)
-    for t, tr, lo in zip(times[1:], traces, lows):
-        if abs(tr - 1.0) > TRACE_ABORT_TOL:
-            raise IntegrationError(f"trace drifted to {tr} at t = {t}")
-        if lo < POSITIVITY_FLOOR:
-            raise IntegrationError(f"eigenvalue {lo} below {POSITIVITY_FLOOR} at t = {t}")
+    bad_trace = ~(np.abs(traces - 1.0) <= TRACE_ABORT_TOL)  # True for NaN
+    bad = bad_trace | ~(lows >= POSITIVITY_FLOOR)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = times[i + 1]
+        if bad_trace[i]:
+            raise IntegrationError(f"trace drifted to {traces[i]} at t = {t}")
+        raise IntegrationError(f"eigenvalue {lows[i]} below {POSITIVITY_FLOOR} at t = {t}")
     return Trajectory(times=times, states=states)
 
 
@@ -421,7 +431,7 @@ def reference_final_state(h, psi0, grid: TimeGrid, refine: int = 100) -> np.ndar
     chunk = _chunk_steps(d)
     for k0 in range(0, n, chunk):
         t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
-        for c in np.asarray(h.envelope(t_mid), dtype=float).tolist():
+        for c in h.pulse.envelope(t_mid).tolist():
             psi = scipy.linalg.expm(-1j * (h0 + c * x) * dt) @ psi
     return psi
 

@@ -29,6 +29,12 @@ __all__ = [
 #: Lines of a table formatted and written at a time.
 _BLOCK_ROWS = 4096
 
+#: Rounding allowance on a negative variance, relative to max(1, <O^2>).
+VARIANCE_RTOL = 1e-12
+
+#: Samples within this fraction of a series' largest value count as its peak.
+PEAK_RTOL = 1e-9
+
 HUSIMI_CONVENTION = "Q = (2I+1)/(4*pi) * <coherent|rho|coherent>; sphere integral 1"
 
 
@@ -70,8 +76,17 @@ class SizeSeries:
         return float(np.max(self.values))
 
     @property
+    def peak_index(self) -> int:
+        """Index of the earliest sample within ``PEAK_RTOL`` (relative) of
+        the maximum, so that of two peaks equal to rounding (a cat and its
+        revival) the first is reported, whichever rounds higher."""
+        values = np.asarray(self.values)
+        peak = values.max()
+        return int(np.argmax(values >= peak - PEAK_RTOL * abs(peak)))
+
+    @property
     def peak_time(self) -> float:
-        return float(self.times[int(np.argmax(self.values))])
+        return float(self.times[self.peak_index])
 
 
 def _checked_observable(op) -> np.ndarray:
@@ -101,16 +116,19 @@ def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
         e = np.einsum("nij,ji->n", states, op).real
         e2 = np.einsum("nij,ji->n", states, op @ op).real
     var = e2 - e * e
-    if var.size and var.min() < -1e-12:
-        raise ValueError(f"variance {var.min()} is negative beyond rounding tolerance")
+    bad = var < -VARIANCE_RTOL * np.maximum(1.0, e2)
+    if bad.any():
+        raise ValueError(f"variance {var[bad][0]} is negative beyond rounding tolerance")
     return e, np.maximum(var, 0.0)
 
 
 def expectation_and_variance(state: np.ndarray, op: np.ndarray) -> tuple:
     """Return (<O>, Var O) for a pure state or density matrix.
 
-    Variance is clamped to zero within -1e-12 to absorb rounding; a more
-    negative value indicates an inconsistent input and raises.
+    Var O = <O^2> - <O>^2 cancels two numbers of size <O^2>, so it is
+    clamped to zero within -1e-12 max(1, <O^2>) to absorb rounding; a more
+    negative value indicates an inconsistent input (an unnormalized state,
+    for one) and raises.
     """
     e, var = _moments(np.asarray(state)[None], _checked_observable(op))
     return float(e[0]), float(var[0])

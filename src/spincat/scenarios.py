@@ -26,6 +26,7 @@ from ._version import __version__
 from .control import (
     RESONANCE_RTOL,
     PulseSchedule,
+    PulseSegment,
     ToneSpec,
     cat_schedule,
     givens_schedule,
@@ -406,10 +407,13 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     return SizeSeries(times=t_values, values=np.concatenate(vals), operator_tag="Iz")
 
 
-def _lab_hamiltonian(h_static, fields: FieldSpec, spin: SpinQuantum, envelope) -> Drive:
-    """The lab-frame drive H_static + gamma_B1 envelope(t) I_axis."""
+def _lab_hamiltonian(
+    h_static, fields: FieldSpec, spin: SpinQuantum, pulse: PulseSegment
+) -> Drive:
+    """The lab-frame drive H_static + gamma_B1 f(t) I_axis, with f the
+    envelope of the multi-tone ``pulse``."""
     axis_op = _measure_operator(spin, fields.drive_axis)
-    return Drive(h_static, fields.gamma_b1 * np.asarray(axis_op), envelope)
+    return Drive(h_static, fields.gamma_b1 * np.asarray(axis_op), pulse)
 
 
 @dataclass
@@ -663,7 +667,7 @@ def _tact_single(
         np.multiply(corotate, states, out=states)
         vals[part] = _effective_sizes(states, op, spin)
     series = SizeSeries(times=traj.times, values=vals, operator_tag=tag)
-    hus = husimi_q(traj.states[int(np.argmax(vals))], spin) if with_husimi else None
+    hus = husimi_q(traj.states[series.peak_index], spin) if with_husimi else None
     return TactResult(
         eta=float(eta),
         gamma_b0=float(gamma_b0),
@@ -702,7 +706,7 @@ def multitone_lab_validation(
     t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
     seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1
-    drive = _lab_hamiltonian(h_static, fields, spin, seg.envelope)
+    drive = _lab_hamiltonian(h_static, fields, spin, seg)
     grid = TimeGrid(0.0, t_half, dt=dt)
     psi0 = eigenstate(spin, spin.i)
     traj = evolve_unitary(drive, psi0, grid)

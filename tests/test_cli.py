@@ -242,6 +242,17 @@ def test_tact_without_quadrupole_needs_t_max(tmp_path, capsys):
     assert main(["tact", "--config", str(path), "--eta", "0", "--b0-hz", "0"]) == 0
 
 
+def test_tact_measures_a_revived_eigenstate_along_x(tmp_path, capsys):
+    # Ix at 2I = 7: at the full revival the state is back to the Ix
+    # eigenstate, <Ix^2> = 12.25 and Var Ix is a cancellation of two such
+    # numbers, -1.1e-12 to -3.4e-12; the variance clamp scales with <Ix^2>
+    path = tmp_path / "tact_x.json"
+    path.write_text(json.dumps({"spin": {"twice_i": 7}, "params": {"operator": "x"}}))
+    assert main(["tact", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("max N_eff(x) = ") == 4
+
+
 @pytest.mark.parametrize(
     "doc, key",
     [

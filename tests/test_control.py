@@ -256,6 +256,23 @@ def test_schedule_serialization_round_trip():
         schedule_from_json('{"format": "something-else"}')
 
 
+def test_midpoint_amplitudes_follow_the_envelope_and_its_half_open_window():
+    # midpoints -0.25, 0.0, 0.25, ..., 1.25 are exact binary fractions, so
+    # two fall exactly on t_start = 0 (inside) and t_end = 1 (outside);
+    # chunks of 3 over 7 steps end with a short one
+    seg = PulseSegment(
+        (ToneSpec(3.0, 0.5, 0.4), ToneSpec(-7.5, 0.25, -1.0)), 0.0, 1.0, phase_origin=-0.3
+    )
+    t_mid = -0.25 + 0.25 * np.arange(7)
+    chunks = list(seg.midpoint_amplitudes(-0.375, 0.25, 7, 3))
+    assert [c.size for c in chunks] == [3, 3, 1]
+    amplitudes = np.concatenate(chunks)
+    direct = seg.envelope(t_mid)
+    assert np.max(np.abs(amplitudes - direct)) <= 4 * np.spacing(1.0)
+    assert amplitudes[1] != 0.0 and direct[1] != 0.0  # t = t_start
+    assert amplitudes[[0, 5, 6]].tolist() == [0.0, 0.0, 0.0]  # t < t_start, t = t_end, t > t_end
+
+
 def test_segment_validation():
     tone = ToneSpec(1e6, 0.6)
     with pytest.raises(ValueError):
@@ -269,6 +286,17 @@ def test_segment_validation():
     ):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ToneSpec(*args)
+    # the window and the phase origin must be finite too, so every envelope
+    # value is a finite sum of tones, |f| <= summed amplitudes <= 1
+    for field, kwargs in (
+        ("t_start", dict(t_start=-np.inf)),
+        ("t_end", dict(t_end=np.inf)),
+        ("t_start", dict(t_start=np.nan)),
+        ("phase_origin", dict(phase_origin=np.nan)),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PulseSegment(**{"tones": (tone,), "t_start": 0.0, "t_end": 1.0, **kwargs})
+    assert PulseSegment((tone, ToneSpec(2e6, 0.4 + 1e-13)), 0.0, 1.0).duration == 1.0
     seg1 = PulseSegment(tones=(tone,), t_start=0.0, t_end=2.0)
     seg2 = PulseSegment(tones=(tone,), t_start=1.0, t_end=3.0)
     with pytest.raises(ValueError):

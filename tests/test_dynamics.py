@@ -1,21 +1,22 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from spincat.control import PulseSegment, ToneSpec, rotation_params
+from spincat.control import PulseSegment, ToneSpec, cat_schedule, rotation_params
 from spincat.dynamics import (
     CHUNK_BYTES,
     TAYLOR_TAIL_TOL,
     DecoherenceSpec,
     Drive,
+    IntegrationError,
     TimeGrid,
     _chunk_steps,
     _pair_coefficients,
     _pair_maps,
+    _sample_exact,
     _step_map_coefficients,
     evolve_lindblad,
     evolve_unitary,
@@ -124,14 +125,18 @@ def test_unitary_norm_preservation_long_run():
     assert max(norms) < 1e-9
 
 
+def larmor_tone(t_end):
+    """One full-amplitude tone cos(gamma*B0 t) on [0, t_end)."""
+    return PulseSegment((ToneSpec(GB0, 1.0, 0.0),), 0.0, t_end, phase_origin=0.0)
+
+
 def test_unitary_self_convergence_time_dependent():
     # halving dt changes the final state by far less than the oracle budget
     spin = SpinQuantum(3)
     ops = spin_operators(spin)
-    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 50e3 * np.asarray(ops.Ix),
-                  lambda t: np.cos(GB0 * t))
-    psi0 = eigenstate(spin, 1.5)
     t_end = 2e-6
+    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 50e3 * np.asarray(ops.Ix), larmor_tone(t_end))
+    psi0 = eigenstate(spin, 1.5)
     final_a = evolve_unitary(drive, psi0, TimeGrid(0.0, t_end, dt=1e-9)).final_state
     final_b = evolve_unitary(drive, psi0, TimeGrid(0.0, t_end, dt=5e-10)).final_state
     assert 1 - fidelity(final_a, final_b) < 1e-8
@@ -140,8 +145,7 @@ def test_unitary_self_convergence_time_dependent():
 def test_unitary_reference_oracle_agreement():
     spin = SpinQuantum(3)
     ops = spin_operators(spin)
-    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 100e3 * np.asarray(ops.Ix),
-                  lambda t: np.cos(GB0 * t))
+    drive = Drive(GB0 * np.asarray(ops.Iz), TWO_PI * 100e3 * np.asarray(ops.Ix), larmor_tone(1e-6))
     psi0 = eigenstate(spin, 1.5)
     grid = TimeGrid(0.0, 1e-6, dt=1e-9)
     main = evolve_unitary(drive, psi0, grid).final_state
@@ -152,9 +156,10 @@ def test_unitary_reference_oracle_agreement():
 def test_unitary_rejects_non_hermitian_drive():
     psi0 = np.array([1.0, 0.0], dtype=complex)
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    pulse = PulseSegment((ToneSpec(1.0, 1.0),), 0.0, 1.0)
     for term, drive in (
-        ("h0", Drive(skew, np.eye(2), np.cos)),
-        ("x", Drive(np.eye(2), skew, np.cos)),
+        ("h0", Drive(skew, np.eye(2), pulse)),
+        ("x", Drive(np.eye(2), skew, pulse)),
     ):
         with pytest.raises(ValueError, match=f"drive.{term} is not Hermitian"):
             evolve_unitary(drive, psi0, TimeGrid(0.0, 1.0, dt=0.5))
@@ -174,7 +179,38 @@ def lab_check_drive(twice_i=7, scale=25.0):
         t_end=t_half,
     )
     x = fields.gamma_b1 * np.asarray(spin_operators(spin).Iy)
-    return spin, Drive(h_static, x, seg.envelope), t_half
+    return spin, Drive(h_static, x, seg), t_half
+
+
+@pytest.mark.parametrize(
+    "pulse, dt, before, after",
+    [("first", 1e-9, 0.0, 0.0), ("first", 1e-7, 0.0, 0.0), ("first", 1e-9, 0.0, 1.75e-6),
+     ("second", 1e-9, 2e-6, 2e-6)],
+)
+def test_phasor_amplitudes_match_direct_cosines(pulse, dt, before, after):
+    # the chunked phasor amplitudes against PulseSegment.envelope's direct
+    # cosines at every midpoint, at 2I = 7, scale 25: the whole first pulse
+    # at 1 ns and 100 ns, a grid that runs 1750 steps past t_end, and the
+    # cat protocol's second pulse (its own phase origin, phase 1.3) on a grid
+    # that starts 2000 steps before it and ends 2000 after.  The two differ
+    # by the rounding of float64 phases of ~1e4 rad: 1.7e-12, 6.1e-13,
+    # 1.9e-12 and 4.2e-12 measured.  Outside [t_start, t_end) both are 0.
+    spin, drive, t_half = lab_check_drive()
+    seg = drive.pulse
+    if pulse == "second":
+        freqs = [tone.omega for tone in seg.tones]
+        seg = cat_schedule(freqs, 1.3, 3e-5, t_half).segments[1]
+    grid = TimeGrid(seg.t_start - before, seg.t_end + after, dt=dt)
+    n, chunk = grid.n_steps, _chunk_steps(spin.dimension)
+    chunks = list(seg.midpoint_amplitudes(grid.t_start, grid.step, n, chunk))
+    assert [c.size for c in chunks] == [min(chunk, n - k0) for k0 in range(0, n, chunk)]
+    amplitudes = np.concatenate(chunks)
+    t_mid = grid.t_start + (np.arange(n) + 0.5) * grid.step
+    direct = seg.envelope(t_mid)
+    assert np.max(np.abs(amplitudes - direct)) <= 1e-11
+    outside = (t_mid < seg.t_start) | (t_mid >= seg.t_end)
+    assert outside.sum() == round((before + after) / dt)
+    assert np.all(amplitudes[outside] == 0.0)
 
 
 def test_chunked_unitary_matches_per_step_oracle():
@@ -209,35 +245,27 @@ def test_lab_check_drive_run_keeps_its_norm_to_rounding():
 
 
 def test_unitary_rejects_wrong_drive_shape():
+    # a bad amplitude cannot reach the stepper: the pulse is a PulseSegment,
+    # whose tones are checked finite with summed amplitudes <= 1 when built
+    # (test_control.py::test_segment_validation)
     psi0 = np.array([1.0, 0.0], dtype=complex)
-    for h0, x, envelope, message in (
-        (np.eye(3), np.eye(2), np.cos, "drive.h0 must have shape (2, 2), got shape (3, 3)"),
-        (np.eye(2), np.eye(2)[None], np.cos, "drive.x must have shape (2, 2), got shape (1, 2, 2)"),
-        (np.eye(2), np.eye(2), lambda t: 0.5, "must map 2 times to shape (2,), got ()"),
+    pulse = PulseSegment((ToneSpec(1.0, 1.0),), 0.0, 1.0)
+    for h0, x, message in (
+        (np.eye(3), np.eye(2), "drive.h0 must have shape (2, 2), got shape (3, 3)"),
+        (np.eye(2), np.eye(2)[None], "drive.x must have shape (2, 2), got shape (1, 2, 2)"),
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
-            evolve_unitary(Drive(h0, x, envelope), psi0, TimeGrid(0.0, 1.0, dt=0.5))
-
-
-def test_unitary_names_first_bad_envelope_midpoint():
-    spin, drive, _ = lab_check_drive()
-    chunk = _chunk_steps(spin.dimension)
-    grid = TimeGrid(0.0, 3 * chunk * 1e-9, dt=1e-9)
-    k_bad = chunk + 37  # in the second chunk
-    t_bad = grid.t_start + (k_bad + 0.5) * grid.step
-    for bad in (np.nan, np.inf, -np.inf, 1.5, -1.0 - 1e-9):
-
-        def envelope(t):
-            return np.where(t >= t_bad, bad, drive.envelope(t))
-
-        with pytest.raises(ValueError, match=re.escape(f"is {bad} at t = {t_bad}; need finite")):
-            evolve_unitary(replace(drive, envelope=envelope), eigenstate(spin, spin.i), grid)
+            evolve_unitary(Drive(h0, x, pulse), psi0, TimeGrid(0.0, 1.0, dt=0.5))
+    with pytest.raises(TypeError, match="drive.pulse must be a PulseSegment, got ufunc"):
+        Drive(np.eye(2), np.eye(2), np.cos)
 
 
 def test_unitary_allows_envelope_rounding_beyond_one():
+    # two constant tones whose amplitudes sum to 1 + 1e-13
     spin = SpinQuantum(1)
     ops = spin_operators(spin)
-    drive = Drive(np.zeros((2, 2)), np.asarray(ops.Ix), lambda t: np.full(t.shape, 1 + 1e-13))
+    pulse = PulseSegment((ToneSpec(0.0, 0.5), ToneSpec(0.0, 0.5 + 1e-13)), 0.0, 1.0)
+    drive = Drive(np.zeros((2, 2)), np.asarray(ops.Ix), pulse)
     psi = evolve_unitary(drive, eigenstate(spin, 0.5), TimeGrid(0.0, 1.0, dt=0.5)).final_state
     assert abs(psi[1]) ** 2 == pytest.approx(np.sin(0.5 * (1 + 1e-13)) ** 2, rel=1e-12)
 
@@ -245,7 +273,8 @@ def test_unitary_allows_envelope_rounding_beyond_one():
 def test_unitary_refuses_a_drive_step_beyond_the_series_radius():
     # ||x||_2 dt = 1.2 > 1: the Taylor terms in the drive grow before they shrink
     spin = SpinQuantum(1)
-    drive = Drive(np.zeros((2, 2)), 2.4 * np.asarray(spin_operators(spin).Ix), np.cos)
+    pulse = PulseSegment((ToneSpec(1.0, 1.0),), 0.0, 2.0)
+    drive = Drive(np.zeros((2, 2)), 2.4 * np.asarray(spin_operators(spin).Ix), pulse)
     with pytest.raises(ValueError, match=re.escape("reduce dt (currently 1.0)")):
         evolve_unitary(drive, eigenstate(spin, 0.5), TimeGrid(0.0, 2.0, dt=1.0))
 
@@ -280,7 +309,7 @@ def test_drive_samples_match_per_step_expm_at_every_stride(stride):
         traj = evolve_unitary(drive, psi0, grid)
         t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
         psis = [psi0.astype(complex)]
-        for c in drive.envelope(t_mid):
+        for c in drive.pulse.envelope(t_mid):
             psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
         steps = grid.sample_steps
         assert traj.times.tolist() == (grid.t_start + steps * grid.step).tolist()
@@ -291,7 +320,8 @@ def test_drive_samples_match_per_step_expm_at_every_stride(stride):
 
 def test_drive_stepping_peak_memory_stays_below_two_chunks_of_maps():
     # a chunk's stack of 256 pair maps takes CHUNK_BYTES and its first
-    # product level half that: 1.66 CHUNK_BYTES measured; chunks of 256
+    # product level half that, and the pulse's phasor table 0.22: 1.90
+    # CHUNK_BYTES measured (1.66 without the table); chunks of 256
     # single-step maps peak at 2.08
     import tracemalloc
 
@@ -477,6 +507,55 @@ def test_exact_sampling_off_stride_matches_repeated_one_step_propagators():
         assert traj.times.tolist() == [0.0, expected_times[-1]]
         assert len(traj.states) == 2
         assert np.max(np.abs(traj.final_state - ref[-1])) <= 1e-12
+
+
+def test_exact_sampling_by_doubling_matches_sequential_application():
+    # tact's grid at 2I = 25: 25 000 steps stored every 6th, a run of 4166
+    # equal gaps (doubled up to U^4096) and a last gap of 4.  Against one
+    # matrix-vector product per sample with the same expm'd maps the doubled
+    # powers differ by rounding only, 3.9e-14 measured (sequential
+    # application itself drifts 2.3e-14 in norm there)
+    size, n_steps, stride = 26, 25000, 6
+    rng = np.random.default_rng(6)
+    g = -1j * random_hermitian(size, rng) * 1e7
+    x0 = rng.normal(size=size) + 1j * rng.normal(size=size)
+    x0 /= np.linalg.norm(x0)
+    dt = 1e-9
+    grid = TimeGrid(0.0, n_steps * dt, dt=dt, output_stride=stride)
+    steps = grid.sample_steps
+    xs = _sample_exact(g, x0, steps, grid.step)
+    maps = {gap: scipy.linalg.expm(g * (gap * grid.step)) for gap in set(np.diff(steps).tolist())}
+    expected = [x0]
+    for gap in np.diff(steps).tolist():
+        expected.append(maps[gap] @ expected[-1])
+    assert xs.shape == (len(steps), size)
+    assert np.max(np.abs(xs - np.array(expected))) <= 2e-13
+
+
+def test_evolvers_name_the_first_sample_that_breaks_a_conservation_law(monkeypatch):
+    import spincat.dynamics as dynamics
+
+    spin = SpinQuantum(3)
+    grid = TimeGrid(0.0, 6e-6, dt=1e-6, output_stride=1)
+    psi0 = eigenstate(spin, 1.5)
+    rho0 = np.outer(psi0, psi0.conj())
+    scale = np.ones(7)
+    scale[[3, 5]] = 1.1
+    monkeypatch.setattr(dynamics, "_sample_exact", lambda g, x0, steps, dt: scale[:, None] * x0)
+    with pytest.raises(IntegrationError, match=re.escape(f"norm drifted to 1.1 at t = {3e-6}")):
+        evolve_unitary(np.zeros((4, 4)), psi0, grid)
+    with pytest.raises(IntegrationError, match=re.escape(f"trace drifted to 1.1 at t = {3e-6}")):
+        evolve_lindblad(np.zeros((4, 4)), rho0, DecoherenceSpec(), grid)
+
+    def negative_at_2(g, x0, steps, dt):
+        rhos = np.repeat(x0[None], len(steps), axis=0).reshape(-1, 4, 4) * scale[:, None, None]
+        rhos[2] = np.diag([1.1, 0.0, 0.0, -0.1])
+        return rhos.reshape(len(steps), -1)
+
+    monkeypatch.setattr(dynamics, "_sample_exact", negative_at_2)
+    message = f"eigenvalue -0.1 below -1e-07 at t = {2e-6}"
+    with pytest.raises(IntegrationError, match=re.escape(message)):
+        evolve_lindblad(np.zeros((4, 4)), rho0, DecoherenceSpec(), grid)
 
 
 def test_lindblad_elementwise_dephasing_oracle():

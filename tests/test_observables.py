@@ -51,6 +51,40 @@ def test_expectation_and_variance_examples():
     assert v == pytest.approx(3.5 ** 2, rel=1e-12)
 
 
+def test_variance_clamp_scales_with_the_second_moment():
+    # |3.5> of 2I = 7 with norm^2 1 + delta has <Iz^2> = 12.25 (1 + delta)
+    # and Var Iz = -12.25 delta (1 + delta): the allowance is
+    # 1e-12 * 12.25, so delta = 1e-13 (Var -1.2e-12, past an absolute
+    # -1e-12) is rounding, and delta = 1e-11 is not
+    spin = SpinQuantum(7)
+    iz = spin_operators(spin).Iz
+    e, v = expectation_and_variance(np.sqrt(1 + 1e-13) * eigenstate(spin, 3.5), iz)
+    assert e == pytest.approx(3.5) and v == 0.0
+    with pytest.raises(ValueError, match=r"variance -1\.2\d*e-10 is negative beyond rounding"):
+        expectation_and_variance(np.sqrt(1 + 1e-11) * eigenstate(spin, 3.5), iz)
+    # below <O^2> = 1 the allowance stays 1e-12: at 2I = 1, <Iz^2> = 0.25,
+    # so Var -5e-13 passes and -2.5e-12 raises
+    half = SpinQuantum(1)
+    iz, up = spin_operators(half).Iz, eigenstate(half, 0.5)
+    assert expectation_and_variance(np.sqrt(1 + 2e-12) * up, iz)[1] == 0.0
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        expectation_and_variance(np.sqrt(1 + 1e-11) * up, iz)
+
+
+def test_peak_time_takes_the_earliest_of_peaks_equal_to_rounding():
+    # the tact corner case's cat and its revival: 7.000000000000177 at
+    # 6.25 us and 7.0000000000005285 at 18.75 us
+    times = np.array([0.0, 6.25e-6, 12.5e-6, 18.75e-6, 25e-6])
+    series = SizeSeries(times, np.array([1.0, 7.000000000000177, 1.0, 7.0000000000005285, 1.0]))
+    assert series.peak == 7.0000000000005285
+    assert series.peak_index == 1
+    assert series.peak_time == 6.25e-6
+    # a later peak higher by more than 1e-9 (relative) is the peak
+    later = SizeSeries(times, np.array([1.0, 7.0, 1.0, 7.0 + 1e-8, 1.0]))
+    assert later.peak_index == 3
+    assert later.peak_time == 18.75e-6
+
+
 def test_expectation_rejects_non_hermitian():
     spin = SpinQuantum(3)
     with pytest.raises(ValueError):

@@ -251,7 +251,7 @@ def test_gap_rule_matches_lab_frame_protocol():
 
     psi0 = eigenstate(spin, spin.i)
     first = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
-    drive = _lab_hamiltonian(h_static, fields, spin, first.envelope)
+    drive = _lab_hamiltonian(h_static, fields, spin, first)
     psi1 = evolve_unitary(drive, psi0, TimeGrid(0.0, t_half, dt=1e-9)).final_state
     h1, u2, nu = _pulse_pair(cfg, ladder, t_half, omega_ref)
     model1 = propagator(h1, t_half) @ psi0
@@ -262,7 +262,7 @@ def test_gap_rule_matches_lab_frame_protocol():
         second = cat_schedule(ladder.transition_freqs, delta_phi, gap, t_half).segments[1]
         psi = basis @ (np.exp(-1j * energies * gap) * (basis.conj().T @ psi1))
         grid = TimeGrid(second.t_start, second.t_end, dt=1e-9)
-        drive = _lab_hamiltonian(h_static, fields, spin, second.envelope)
+        drive = _lab_hamiltonian(h_static, fields, spin, second)
         psi = evolve_unitary(drive, psi, grid).final_state
         psi_rot = np.exp(1j * ladder.energies * grid.t_end) * psi
         phase = np.exp(1j * nu * gap)  # the diagonal of D
