@@ -8,35 +8,28 @@ from .spin import (
     spin_operators,
     eigenstate,
     coherent_state,
-    rotation_operator,
     fidelity,
 )
 from .hamiltonian import (
     QuadrupoleSpec,
     FieldSpec,
     EnergyLadder,
-    quadrupole_strength,
     principal_axis_operators,
     quadrupole_hamiltonian,
     static_hamiltonian,
     energy_ladder,
     effective_oat_strength,
-    effective_hamiltonian,
 )
 from .control import (
     ToneSpec,
     PulseSegment,
     PulseSchedule,
     RotationParams,
-    multitone_envelope,
     rotation_params,
     cat_schedule,
     rotating_frame_hamiltonian,
     segment_rotating_hamiltonian,
-    virtual_phase_update,
     givens_schedule,
-    schedule_to_json,
-    schedule_from_json,
 )
 from .dynamics import (
     IntegrationError,
@@ -47,7 +40,6 @@ from .dynamics import (
     propagator,
     evolve_unitary,
     evolve_lindblad,
-    reference_final_state,
 )
 from .observables import (
     HusimiGrid,
@@ -56,8 +48,6 @@ from .observables import (
     effective_size,
     husimi_q,
     cat_coherence,
-    flip_probability,
-    flip_probability_peak,
     save_size_series,
     save_husimi,
 )

@@ -83,6 +83,7 @@ def _cmd_virtual_phase(cfg, args, out) -> None:
                 },
                 fh,
                 indent=2,
+                allow_nan=False,
             )
         save_husimi(
             husimi_q(result.final_state, cfg.spin),
@@ -107,12 +108,13 @@ def _cmd_givens(cfg, args, out) -> None:
                     "mode": result.mode,
                     "n_pulses": len(result.schedule.segments),
                     "total_duration_s": result.schedule.t_end,
-                    "oat_period_s": result.oat_period,
+                    "oat_period_s": result.oat_period if np.isfinite(result.oat_period) else None,
                     "edge_populations": list(result.edge_populations),
                     "fidelity_to_bottom": result.end_fidelity,
                 },
                 fh,
                 indent=2,
+                allow_nan=False,
             )
 
 
@@ -196,6 +198,8 @@ def _cmd_husimi(cfg, args, out) -> None:
 
 
 def _cmd_lab_check(cfg, args, out) -> None:
+    if not (np.isfinite(args.scale) and args.scale > 0):
+        raise ValueError(f"--scale must be a finite number > 0, got {args.scale}")
     result = multitone_lab_validation(cfg, scale=args.scale, dt=args.dt)
     print(
         f"lab-check: scale = {result.scale:g}, {result.n_steps} steps of "

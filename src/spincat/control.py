@@ -1,5 +1,5 @@
-"""Multi-tone pulse schedules, the generalized rotating frame, virtual phase
-updates and the Givens-rotation baseline.
+"""Multi-tone pulse schedules, the generalized rotating frame and the
+Givens-rotation baseline.
 
 A multi-tone pulse drives all 2I nearest-neighbor transitions at once with
 per-tone amplitudes eps_j and phases phi_j; tone phases are phase-locked to
@@ -14,7 +14,6 @@ generator is gamma_B1/(4I) times a spin component, so a pi/2 rotation takes
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,13 @@ __all__ = [
     "PulseSchedule",
     "RotationParams",
     "wrap_phase",
-    "multitone_envelope",
     "rotation_params",
     "cat_schedule",
     "rotating_frame_hamiltonian",
     "segment_rotating_hamiltonian",
     "drive_phase_offset",
-    "virtual_phase_update",
     "oat_equivalent_phase_shifts",
     "givens_schedule",
-    "schedule_to_json",
-    "schedule_from_json",
 ]
 
 #: A tone is treated as resonant with a ladder transition when the frequency
@@ -185,16 +180,6 @@ class RotationParams:
             raise ValueError("inconsistent rotation parameters: theta != omega * duration")
 
 
-def multitone_envelope(t, freqs, phi: float = 0.0, t0: float = 0.0):
-    """Equal-amplitude multi-tone envelope (1/N) sum_j cos(omega_j (t - t0) + phi)."""
-    freqs = np.asarray(freqs, dtype=float)
-    if freqs.size == 0:
-        raise ValueError("frequency vector must not be empty")
-    t = np.asarray(t, dtype=float)
-    val = np.cos(np.multiply.outer(t - t0, freqs) + phi).sum(axis=-1) / freqs.size
-    return float(val) if val.ndim == 0 else val
-
-
 def rotation_params(spin: SpinQuantum, gamma_b1: float, theta: float) -> RotationParams:
     """Timing of a global rotation by ``theta`` under uniform multi-tone drive.
 
@@ -254,7 +239,8 @@ def rotating_frame_hamiltonian(
     Each tone must be resonant with one ladder transition; its contribution
     is (gamma_B1/2) * h_j * eps * exp(-i phi) on the (j-1, j) element plus the
     conjugate below.  Counter-rotating and cross-resonant terms are dropped
-    (their effect is quantified separately by the flip probability).
+    (the off-resonant flip probability in ``tests/oracles.py`` bounds their
+    effect).
     """
     d = spin.dimension
     transitions = ladder.transition_freqs
@@ -302,25 +288,6 @@ def segment_rotating_hamiltonian(
         for t in segment.tones
     )
     return rotating_frame_hamiltonian(effective, spin, gamma_b1, ladder)
-
-
-def virtual_phase_update(
-    phases, t_wait: float, omega_q_eff: float, spin: SpinQuantum
-) -> np.ndarray:
-    """Published per-tone phase-update rule for virtual nonlinear evolution.
-
-    Tone j (j = 1..2I) advances by t_wait * omega_q_eff * ((I-j)^2 - I^2),
-    the twisting phase of the level I-j relative to the top level; results
-    are wrapped to (-pi, pi].
-    """
-    phases = np.asarray(phases, dtype=float)
-    n = spin.twice_i
-    if phases.shape != (n,):
-        raise ValueError(f"expected {n} phases, got shape {phases.shape}")
-    i = spin.i
-    j = np.arange(1, n + 1)
-    increments = t_wait * omega_q_eff * ((i - j) ** 2 - i ** 2)
-    return wrap_phase(phases + increments)
 
 
 def oat_equivalent_phase_shifts(
@@ -383,53 +350,4 @@ def givens_schedule(
         tone = ToneSpec(float(transitions[j - 1]), eps, 0.0)
         segments.append(PulseSegment(tones=(tone,), t_start=t, t_end=t + duration))
         t += duration
-    return PulseSchedule(segments=tuple(segments))
-
-
-_TWO_PI = 2 * np.pi
-
-
-def schedule_to_json(schedule: PulseSchedule) -> str:
-    """Serialize a schedule to JSON with tone frequencies in Hz.
-
-    Floats are written with full repr precision, so a round trip preserves
-    at least 15 significant digits.
-    """
-    doc = {
-        "format": "spincat-pulse-schedule",
-        "version": 1,
-        "segments": [
-            {
-                "t_start": seg.t_start,
-                "t_end": seg.t_end,
-                "phase_origin": seg.origin,
-                "tones": [
-                    {"omega_hz": tone.omega / _TWO_PI, "eps": tone.eps, "phi": tone.phi}
-                    for tone in seg.tones
-                ],
-            }
-            for seg in schedule.segments
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def schedule_from_json(text: str) -> PulseSchedule:
-    """Inverse of :func:`schedule_to_json`."""
-    doc = json.loads(text)
-    if doc.get("format") != "spincat-pulse-schedule":
-        raise ValueError("not a spincat pulse-schedule document")
-    segments = []
-    for seg in doc["segments"]:
-        tones = tuple(
-            ToneSpec(t["omega_hz"] * _TWO_PI, t["eps"], t["phi"]) for t in seg["tones"]
-        )
-        segments.append(
-            PulseSegment(
-                tones=tones,
-                t_start=seg["t_start"],
-                t_end=seg["t_end"],
-                phase_origin=seg["phase_origin"],
-            )
-        )
     return PulseSchedule(segments=tuple(segments))

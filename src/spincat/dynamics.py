@@ -16,7 +16,6 @@ conservation laws (norm, trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
 :class:`Drive`.  The Lindblad evolver takes only a constant (d, d) matrix.
-The dense oracles are for tests.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "propagator",
     "evolve_unitary",
     "evolve_lindblad",
-    "reference_final_state",
-    "reference_lindblad_state",
 ]
 
 #: Default step of time-dependent (lab-frame) runs: it resolves the Larmor
@@ -407,52 +404,3 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
             raise IntegrationError(f"trace drifted to {traces[i]} at t = {t}")
         raise IntegrationError(f"eigenvalue {lows[i]} below {POSITIVITY_FLOOR} at t = {t}")
     return Trajectory(times=times, states=states)
-
-
-def reference_final_state(h, psi0, grid: TimeGrid, refine: int = 100) -> np.ndarray:
-    """Dense brute-force unitary oracle: plain midpoint stepping at dt/refine.
-
-    Serves as the independent check on production runs: every step of a
-    :class:`Drive` gets its own ``scipy.linalg.expm`` of h0 + f(t_mid) x,
-    never the constant-Hamiltonian shortcut or the step-map polynomial, and
-    only the final state is returned.  A constant ``h`` has one step map,
-    applied at every step.
-    """
-    psi = np.array(check_pure_state(psi0), dtype=complex)
-    d = psi.size
-    n = grid.n_steps * refine
-    dt = grid.span / n
-    if not isinstance(h, Drive):
-        u = scipy.linalg.expm(-1j * np.asarray(h, dtype=complex) * dt)
-        for _ in range(n):
-            psi = u @ psi
-        return psi
-    h0, x = _drive_terms(h, d)
-    chunk = _chunk_steps(d)
-    for k0 in range(0, n, chunk):
-        t_mid = grid.t_start + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
-        for c in h.pulse.envelope(t_mid).tolist():
-            psi = scipy.linalg.expm(-1j * (h0 + c * x) * dt) @ psi
-    return psi
-
-
-def reference_lindblad_state(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> np.ndarray:
-    """Classical RK4 oracle for :func:`evolve_lindblad`: plain fixed steps of
-    ``grid.step`` on d rho/dt = -i[H, rho] - R * rho / 2 (R from
-    :meth:`DecoherenceSpec.rates`); returns the final state only."""
-    rho = np.array(check_density_matrix(rho0), dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    d = rho.shape[0]
-    half_rates = 0.5 * dec.rates((d - 1 - 2 * np.arange(d)) / 2)
-
-    def rhs(r):
-        return -1j * (h @ r - r @ h) - half_rates * r
-
-    dt = grid.step
-    for _ in range(grid.n_steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return rho

@@ -15,24 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin import SpinQuantum, _require_finite, eigenstate, is_hermitian, spin_operators
+from .spin import SpinQuantum, _require_finite, is_hermitian, spin_operators
 
 __all__ = [
     "QuadrupoleSpec",
     "FieldSpec",
     "EnergyLadder",
-    "quadrupole_strength",
     "principal_axis_operators",
     "quadrupole_hamiltonian",
     "static_hamiltonian",
     "energy_ladder",
     "effective_oat_strength",
-    "effective_hamiltonian",
 ]
-
-#: SI constants, applied only at the quadrupole_strength boundary.
-ELEMENTARY_CHARGE = 1.602176634e-19  # C
-HBAR = 1.054571817e-34  # J s
 
 #: Minimum squared overlap for labeling eigenvectors with m quantum numbers.
 LABELING_MIN_OVERLAP = 0.7
@@ -88,19 +82,6 @@ class EnergyLadder:
     spin: SpinQuantum
     energies: np.ndarray
     transition_freqs: np.ndarray
-
-
-def quadrupole_strength(q_n: float, v_zz: float, spin: SpinQuantum) -> float:
-    """Quadrupole coupling 3 e q_n V_z'z' / (4 I (2I-1) hbar) in rad/s.
-
-    ``q_n`` is the nuclear electric quadrupole moment in m^2 and ``v_zz`` the
-    EFG principal value in V/m^2.  Spin-1/2 nuclei carry no quadrupole moment
-    (the formula degenerates), so twice_i >= 2 is required.
-    """
-    if spin.twice_i < 2:
-        raise ValueError("quadrupole coupling requires I >= 1 (no moment for I = 1/2)")
-    i = spin.i
-    return 3 * ELEMENTARY_CHARGE * q_n * v_zz / (4 * i * (2 * i - 1) * HBAR)
 
 
 def _pas_rotation(delta: float, mu: float, nu: float) -> np.ndarray:
@@ -200,11 +181,3 @@ def effective_oat_strength(quad: QuadrupoleSpec, spin: SpinQuantum) -> float:
     design = np.vander(k, 3)  # columns k^2, k, 1
     coeffs, *_ = np.linalg.lstsq(design, diag, rcond=None)
     return float(coeffs[0])
-
-
-def effective_hamiltonian(
-    fields: FieldSpec, omega_q_eff: float, spin: SpinQuantum
-) -> np.ndarray:
-    """Secular approximation gamma*B0*Iz + omega_q_eff*Iz^2 (drive excluded)."""
-    ops = spin_operators(spin)
-    return fields.gamma_b0 * ops.Iz + omega_q_eff * (ops.Iz @ ops.Iz)

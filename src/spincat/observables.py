@@ -1,5 +1,5 @@
-"""Measured quantities: degree of superposition, Husimi Q distributions,
-cat coherence and off-resonant flip probability."""
+"""Measured quantities: degree of superposition, Husimi Q distributions and
+cat coherence."""
 
 from __future__ import annotations
 
@@ -19,9 +19,6 @@ __all__ = [
     "effective_sizes",
     "husimi_q",
     "cat_coherence",
-    "flip_probability",
-    "flip_probability_peak",
-    "revival_peaks",
     "save_size_series",
     "save_husimi",
 ]
@@ -52,11 +49,6 @@ class HusimiGrid:
         """Quadrature-weighted sphere integral of Q (should be 1)."""
         weighted = self.values * np.sin(self.thetas)[:, None]
         return float(np.trapezoid(np.trapezoid(weighted, self.phis, axis=1), self.thetas))
-
-    def to_table(self) -> np.ndarray:
-        """(n_theta * n_phi, 3) array of rows (theta, phi, Q)."""
-        tt, pp = np.meshgrid(self.thetas, self.phis, indexing="ij")
-        return np.column_stack([tt.ravel(), pp.ravel(), self.values.ravel()])
 
 
 @dataclass(frozen=True)
@@ -206,34 +198,6 @@ def cat_coherence(state: np.ndarray, spin: SpinQuantum) -> float:
     if state.ndim == 1:
         return float(abs(state[0] * np.conj(state[d - 1])))
     return float(abs(state[0, d - 1]))
-
-
-def revival_peaks(series: SizeSeries, min_height: float | None = None) -> SizeSeries:
-    """Interior local maxima of a sampled series (the revival peaks)."""
-    t = np.asarray(series.times)
-    v = np.asarray(series.values)
-    mask = (v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])
-    idx = np.where(mask)[0] + 1
-    if min_height is not None:
-        idx = idx[v[idx] >= min_height]
-    return SizeSeries(times=t[idx], values=v[idx], operator_tag=series.operator_tag)
-
-
-def flip_probability(gamma_b1: float, delta_omega: float, t: float) -> float:
-    """Off-resonant Rabi flip probability (gamma_B1/Omega)^2 sin^2(Omega t)
-    with Omega^2 = (gamma_B1)^2 + (delta_omega)^2 / 4."""
-    omega_sq = gamma_b1 ** 2 + delta_omega ** 2 / 4
-    if omega_sq == 0.0:
-        return 0.0
-    return float(gamma_b1 ** 2 / omega_sq * np.sin(np.sqrt(omega_sq) * t) ** 2)
-
-
-def flip_probability_peak(gamma_b1: float, delta_omega: float) -> float:
-    """Envelope maximum of the off-resonant flip probability."""
-    omega_sq = gamma_b1 ** 2 + delta_omega ** 2 / 4
-    if omega_sq == 0.0:
-        return 0.0
-    return float(gamma_b1 ** 2 / omega_sq)
 
 
 def _left_justify(text: np.ndarray) -> np.ndarray:

@@ -438,6 +438,9 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
     ladder = _ladder(cfg)
     omega_eff = _twisting(cfg)
     t_wait = _param(cfg, "t_wait", np.pi / (2 * omega_eff))
+    # only a given wait is checked: the default is < 0 where omega_eff is
+    if "t_wait" in cfg.params and t_wait < 0:
+        raise ValueError(f"config key 'params.t_wait' must be >= 0, got {t_wait!r}")
     base_phase = _param(cfg, "base_phase", 0.0)
     n = spin.twice_i
     freqs = ladder.transition_freqs
@@ -739,5 +742,5 @@ def write_manifest(out_dir, scenario: str, cfg: ScenarioConfig, wall_time_s: flo
         doc["extras"] = extras
     path = os.path.join(out_dir, f"{scenario}_manifest.json")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
     return path

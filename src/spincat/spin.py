@@ -1,4 +1,4 @@
-"""Spin operators, basis states, coherent states and rotations for arbitrary spin.
+"""Spin operators, basis states and coherent states for arbitrary spin.
 
 All operators are dense complex matrices in the Iz eigenbasis ordered
 m = I, I-1, ..., -I (index 0 corresponds to m = I).  Energies and couplings
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SpinQuantum",
@@ -19,7 +18,6 @@ __all__ = [
     "spin_operators",
     "eigenstate",
     "coherent_state",
-    "rotation_operator",
     "fidelity",
     "check_pure_state",
     "check_density_matrix",
@@ -55,14 +53,6 @@ class SpinQuantum:
             raise ValueError(
                 f"twice_i must be >= 1 (spin-0 has no dynamics), got {self.twice_i}"
             )
-
-    @classmethod
-    def from_spin(cls, i: float) -> "SpinQuantum":
-        """Build from the spin value itself, e.g. ``from_spin(3.5)`` for I = 7/2."""
-        twice = int(round(2 * i))
-        if abs(2 * i - twice) > 1e-12:
-            raise ValueError(f"spin must be integer or half-integer, got {i}")
-        return cls(twice)
 
     @property
     def i(self) -> float:
@@ -168,21 +158,6 @@ def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
     amps = np.sqrt(binom) * c ** (twice_i - idx) * s ** idx
     psi = amps * np.exp(-1j * phi * m)
     return _frozen(psi.astype(complex))
-
-
-def rotation_operator(spin: SpinQuantum, axis, angle: float) -> np.ndarray:
-    """Rotation exp(-i angle (n . I)) about the unit vector ``axis``."""
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"axis must be a 3-vector, got shape {n.shape}")
-    norm = np.linalg.norm(n)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(
-            f"axis must be a unit vector (norm within 1e-10), got norm {norm}"
-        )
-    ops = spin_operators(spin)
-    generator = n[0] * ops.Ix + n[1] * ops.Iy + n[2] * ops.Iz
-    return _frozen(scipy.linalg.expm(-1j * angle * generator))
 
 
 def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL):

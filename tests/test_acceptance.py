@@ -13,14 +13,13 @@ from spincat.control import (
     rotation_params,
     segment_rotating_hamiltonian,
 )
-from spincat.dynamics import TimeGrid, evolve_unitary, reference_final_state
+from spincat.dynamics import TimeGrid, evolve_unitary
 from spincat.hamiltonian import (
     FieldSpec,
     QuadrupoleSpec,
     energy_ladder,
     static_hamiltonian,
 )
-from spincat.observables import flip_probability_peak, revival_peaks
 from spincat.scenarios import (
     coherence_scaling,
     decoherence_sweep,
@@ -33,6 +32,8 @@ from spincat.scenarios import (
     virtual_phase_cat,
 )
 from spincat.spin import coherent_state, eigenstate, fidelity, spin_operators
+
+from oracles import flip_probability_peak, reference_final_state, revival_peaks
 
 TWO_PI = 2 * np.pi
 

@@ -185,6 +185,7 @@ def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
         (["tact"], {"operator": ["y"]}, "'params.operator'"),
         (["tact"], {"operator": 5}, "'params.operator'"),
         (["tact"], {"operator": "q"}, "'params.operator'"),
+        (["virtual-phase"], {"t_wait": -1}, "'params.t_wait'"),
     ],
 )
 def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, key):
@@ -212,6 +213,30 @@ def test_husimi_time_fraction_must_be_positive(capsys, fraction):
     rc = main(["husimi", "--time-fraction", fraction])
     assert rc == 2
     assert "--time-fraction must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_lab_check_scale_must_be_positive(capsys, scale):
+    rc = main(["lab-check", "--scale", scale])
+    assert rc == 2
+    assert "--scale must be a finite number > 0" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_givens_report_without_twisting_is_strict_json(tmp_path, capsys):
+    path = tmp_path / "spin_half.json"
+    path.write_text(json.dumps({"spin": {"twice_i": 1}}))
+    assert main(["givens", "--mode", "create", "--config", str(path), "--out", str(tmp_path)]) == 0
+    # both files parse without the Infinity/NaN extension of Python's json
+    manifest, report = (
+        json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+        for name in ("givens_manifest.json", "givens_create_report.json")
+    )
+    assert manifest["scenario"] == "givens"
+    assert report["oat_period_s"] is None
 
 
 @pytest.mark.parametrize(

@@ -21,12 +21,12 @@ from spincat.dynamics import (
     evolve_lindblad,
     evolve_unitary,
     propagator,
-    reference_final_state,
-    reference_lindblad_state,
 )
 from spincat.hamiltonian import FieldSpec, QuadrupoleSpec, energy_ladder, static_hamiltonian
 from spincat.scenarios import _ladder, _pulse_pair, paper_config
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
+
+from oracles import reference_final_state, reference_lindblad_state
 
 TWO_PI = 2 * np.pi
 GB0 = TWO_PI * 8.25e6

@@ -5,12 +5,10 @@ from numpy.testing import assert_allclose
 from spincat.hamiltonian import (
     FieldSpec,
     QuadrupoleSpec,
-    effective_hamiltonian,
     effective_oat_strength,
     energy_ladder,
     principal_axis_operators,
     quadrupole_hamiltonian,
-    quadrupole_strength,
     static_hamiltonian,
 )
 from spincat.spin import SpinQuantum, spin_operators
@@ -18,25 +16,6 @@ from spincat.spin import SpinQuantum, spin_operators
 TWO_PI = 2 * np.pi
 GB0 = TWO_PI * 8.25e6
 WQ = TWO_PI * 40e3
-
-
-def test_quadrupole_strength_zero_and_linear():
-    spin = SpinQuantum(7)
-    assert quadrupole_strength(1e-28, 0.0, spin) == 0.0
-    one = quadrupole_strength(1e-28, 1e21, spin)
-    assert quadrupole_strength(1e-28, 2e21, spin) == pytest.approx(2 * one, rel=1e-14)
-
-
-def test_quadrupole_strength_spin_ratio():
-    # omega_q ~ 1 / (I (2I-1)): ratio (7/2 vs 5/2) = (5/2*4) / (7/2*6) = 10/21
-    w7 = quadrupole_strength(1e-28, 1e21, SpinQuantum(7))
-    w5 = quadrupole_strength(1e-28, 1e21, SpinQuantum(5))
-    assert w7 / w5 == pytest.approx(10 / 21, rel=1e-12)
-
-
-def test_quadrupole_strength_rejects_spin_half():
-    with pytest.raises(ValueError):
-        quadrupole_strength(1e-28, 1e21, SpinQuantum(1))
 
 
 def test_quadrupole_spec_validation():
@@ -206,17 +185,6 @@ def test_effective_oat_strength_cases():
     assert effective_oat_strength(QuadrupoleSpec(WQ, 1.0), spin) == pytest.approx(
         WQ, rel=1e-12
     )
-
-
-def test_effective_hamiltonian_matches_ladder():
-    spin = SpinQuantum(7)
-    h_eff = effective_hamiltonian(FieldSpec(GB0, 0.0), WQ, spin)
-    ladder = energy_ladder(
-        static_hamiltonian(FieldSpec(GB0, 0.0), QuadrupoleSpec(WQ), spin), spin
-    )
-    assert_allclose(np.diag(h_eff).real, ladder.energies, rtol=1e-12)
-    h0 = effective_hamiltonian(FieldSpec(GB0, 0.0), 0.0, spin)
-    assert_allclose(np.diag(h0).real, GB0 * spin.m_values, rtol=1e-14)
 
 
 def test_field_spec_validation():

@@ -13,10 +13,7 @@ from spincat.observables import (
     effective_size,
     effective_sizes,
     expectation_and_variance,
-    flip_probability,
-    flip_probability_peak,
     husimi_q,
-    revival_peaks,
     _BLOCK_ROWS,
     _write_table,
     save_husimi,
@@ -27,9 +24,10 @@ from spincat.spin import (
     SpinQuantum,
     coherent_state,
     eigenstate,
-    rotation_operator,
     spin_operators,
 )
+
+from oracles import flip_probability, flip_probability_peak, revival_peaks, rotation_operator
 
 TWO_PI = 2 * np.pi
 
@@ -437,8 +435,9 @@ def _row_by_row_husimi(grid, path, header_extra=""):
         if header_extra:
             fh.write(f"# {header_extra}\n")
         fh.write("# theta_rad,phi_rad,Q\n")
-        for theta, phi, q in grid.to_table():
-            fh.write(f"{float(theta)!r},{float(phi)!r},{float(q)!r}\n")
+        for theta, row in zip(grid.thetas, grid.values):
+            for phi, q in zip(grid.phis, row):
+                fh.write(f"{float(theta)!r},{float(phi)!r},{float(q)!r}\n")
 
 
 def _coherence_table(rows, path, header_extra=""):

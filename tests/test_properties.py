@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spincat._floattext import float_text
-from spincat.control import (
-    PulseSchedule,
-    PulseSegment,
-    ToneSpec,
-    schedule_from_json,
-    schedule_to_json,
-    wrap_phase,
-)
+from spincat.control import wrap_phase
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import effective_sizes
 from spincat.scenarios import config_from_dict, config_to_dict
-from spincat.spin import SpinQuantum, rotation_operator, spin_operators
+from spincat.spin import SpinQuantum, spin_operators
+
+from oracles import rotation_operator
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 
@@ -105,37 +100,6 @@ def test_config_survives_its_json_round_trip(doc):
     cfg = config_from_dict(doc)
     assert config_from_dict(config_to_dict(cfg)) == cfg
     assert _same(doc, config_to_dict(cfg))
-
-
-@st.composite
-def _schedules(draw):
-    """1-3 back-to-back or spaced segments of 1-4 tones each, the summed
-    tone amplitudes at most 1, with or without an explicit phase origin."""
-    segments, t = [], draw(st.floats(0.0, 1e-3))
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(1, 4))
-        tones = tuple(
-            ToneSpec(draw(st.floats(-1e9, 1e9, allow_subnormal=False)), draw(st.floats(0.0, 1.0)) / n, draw(_ANGLE))
-            for _ in range(n)
-        )
-        duration = draw(st.floats(1e-9, 1e-2))
-        origin = draw(st.none() | st.floats(-1e-2, 1e-2))
-        segments.append(PulseSegment(tones, t, t + duration, origin))
-        t += duration + draw(st.floats(0.0, 1e-3))
-    return PulseSchedule(tuple(segments))
-
-
-@given(_schedules())
-def test_schedule_survives_its_json_round_trip(schedule):
-    back = schedule_from_json(schedule_to_json(schedule))
-    assert len(back.segments) == len(schedule.segments)
-    for a, b in zip(schedule.segments, back.segments):
-        assert (b.t_start, b.t_end, b.origin) == (a.t_start, a.t_end, a.origin)
-        assert len(b.tones) == len(a.tones)
-        for ta, tb in zip(a.tones, b.tones):
-            assert (tb.eps, tb.phi) == (ta.eps, ta.phi)
-            # omega passes through Hz: one rounding of the 2 pi each way
-            assert math.isclose(tb.omega, ta.omega, rel_tol=1e-15, abs_tol=0.0)
 
 
 @given(

@@ -31,7 +31,7 @@ from spincat.hamiltonian import (
     energy_ladder,
     static_hamiltonian,
 )
-from spincat.observables import cat_coherence, effective_size, revival_peaks
+from spincat.observables import cat_coherence, effective_size
 from spincat.scenarios import (
     _cat_signal,
     _dephased,
@@ -52,6 +52,8 @@ from spincat.scenarios import (
     write_manifest,
 )
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
+
+from oracles import revival_peaks
 
 TWO_PI = 2 * np.pi
 
