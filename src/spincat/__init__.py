@@ -24,8 +24,7 @@ from .control import (
     ToneSpec,
     PulseSegment,
     PulseSchedule,
-    RotationParams,
-    rotation_params,
+    rotation_duration,
     cat_schedule,
     rotating_frame_hamiltonian,
     segment_rotating_hamiltonian,
@@ -44,7 +43,6 @@ from .dynamics import (
 from .observables import (
     HusimiGrid,
     SizeSeries,
-    expectation_and_variance,
     effective_size,
     husimi_q,
     cat_coherence,

@@ -36,6 +36,19 @@ from .spin import coherent_state
 _TWO_PI = 2 * np.pi
 
 
+def _require_distinct_names(flag: str, values, text) -> None:
+    """Reject a list of flag values of which two give one output name
+    ``text(value)``, before any case runs: the second would overwrite the
+    first's table."""
+    names = [text(value) for value in values or ()]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(
+                f"two {flag} values map to the output name {name!r}, so one case "
+                "would overwrite the other's table"
+            )
+
+
 def _load_config(args) -> ScenarioConfig:
     if not args.config:
         return paper_config()
@@ -69,9 +82,10 @@ def _cmd_ramsey(cfg, args, out) -> None:
 
 def _cmd_virtual_phase(cfg, args, out) -> None:
     result = virtual_phase_cat(cfg)
+    # + 0.0 prints a zero increment as 0.0, not -0.0
     print(
         f"virtual-phase: fidelity vs free-evolution cat = {result.fidelity:.9f}; "
-        f"phase increments (rad) = {np.round(result.phase_increments, 6).tolist()}"
+        f"phase increments (rad) = {(np.round(result.phase_increments, 6) + 0.0).tolist()}"
     )
     if out:
         with open(os.path.join(out, "virtual_phase_report.json"), "w") as fh:
@@ -119,6 +133,8 @@ def _cmd_givens(cfg, args, out) -> None:
 
 
 def _cmd_decoherence(cfg, args, out) -> None:
+    _require_distinct_names("--gamma-m", args.gamma_m, lambda g: f"gm{g:g}")
+    _require_distinct_names("--gamma-e", args.gamma_e, lambda g: f"ge{g:g}")
     for res in decoherence_sweep(cfg, args.gamma_m, args.gamma_e):
         print(
             f"decoherence Gamma_m={res.gamma_m}/s Gamma_e={res.gamma_e}/s: "
@@ -151,10 +167,13 @@ def _cmd_coherence_scaling(cfg, args, out) -> None:
 
 
 def _cmd_tact(cfg, args, out) -> None:
+    b0_list = [b * _TWO_PI for b in args.b0_hz] if args.b0_hz else None
+    _require_distinct_names("--eta", args.eta, lambda eta: f"eta{eta:g}")
+    _require_distinct_names("--b0-hz", b0_list, lambda b0: f"b0{b0 / _TWO_PI:g}Hz")
     results = tact_oat_comparison(
         cfg,
         eta_list=args.eta,
-        b0_list=[b * _TWO_PI for b in args.b0_hz] if args.b0_hz else None,
+        b0_list=b0_list,
         include_corner=args.corner,
         with_husimi=bool(out),
     )

@@ -25,9 +25,8 @@ __all__ = [
     "ToneSpec",
     "PulseSegment",
     "PulseSchedule",
-    "RotationParams",
     "wrap_phase",
-    "rotation_params",
+    "rotation_duration",
     "cat_schedule",
     "rotating_frame_hamiltonian",
     "segment_rotating_hamiltonian",
@@ -70,23 +69,19 @@ class ToneSpec:
 class PulseSegment:
     """A windowed multi-tone pulse on [t_start, t_end).
 
-    Tone phases are referenced to ``phase_origin`` (the segment start when
-    None).  The summed tone amplitudes must not exceed 1 so the physical
-    envelope obeys |eps(t)| <= 1.
+    Tone phases are locked to ``t_start``.  The summed tone amplitudes must
+    not exceed 1 so the physical envelope obeys |eps(t)| <= 1.
     """
 
     tones: tuple
     t_start: float
     t_end: float
-    phase_origin: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
         if not self.tones:
             raise ValueError("segment must contain at least one tone")
         _require_finite(self, "t_start", "t_end")
-        if self.phase_origin is not None:
-            _require_finite(self, "phase_origin")
         if not self.t_end > self.t_start:
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         total = sum(t.eps for t in self.tones)
@@ -94,20 +89,16 @@ class PulseSegment:
             raise ValueError(f"summed tone amplitudes {total} exceed 1")
 
     @property
-    def origin(self) -> float:
-        return self.t_start if self.phase_origin is None else self.phase_origin
-
-    @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
     def envelope(self, t):
-        """Drive amplitude at time(s) ``t``; zero outside [t_start, t_end)."""
-        t0 = self.origin
+        """Drive amplitude sum_j eps_j cos(omega_j (t - t_start) + phi_j) at
+        time(s) ``t``; zero outside [t_start, t_end)."""
         t = np.asarray(t, dtype=float)
         val = np.zeros_like(t)
         for tone in self.tones:
-            val += tone.eps * np.cos(tone.omega * (t - t0) + tone.phi)
+            val += tone.eps * np.cos(tone.omega * (t - self.t_start) + tone.phi)
         return np.where((t >= self.t_start) & (t < self.t_end), val, 0.0)
 
     def midpoint_amplitudes(self, t0: float, dt: float, n: int, chunk: int):
@@ -115,7 +106,7 @@ class PulseSegment:
         k = 0 ... n - 1, ``chunk`` of them at a time.
 
         Each tone is a phasor: at a chunk's first midpoint t_c it is
-        a_j = eps_j exp(i (omega_j (t_c - origin) + phi_j)), and r steps
+        a_j = eps_j exp(i (omega_j (t_c - t_start) + phi_j)), and r steps
         later a_j W[j, r] with W[j, r] = exp(i omega_j r dt), a (tones, chunk)
         table built once per call.  A chunk's amplitudes are Re(a W), zero
         outside [t_start, t_end): one complex exponential per tone and one
@@ -134,7 +125,7 @@ class PulseSegment:
         del phase  # the generator's frame would keep it alive while stepping
         for k0 in range(0, n, chunk):
             t = t0 + (np.arange(k0, min(k0 + chunk, n)) + 0.5) * dt
-            a = eps * np.exp(1j * (omega * (t[0] - self.origin) + phi))
+            a = eps * np.exp(1j * (omega * (t[0] - self.t_start) + phi))
             val = a.view(float) @ table[:, : t.size]
             yield np.where((t >= self.t_start) & (t < self.t_end), val, 0.0)
 
@@ -167,29 +158,16 @@ class PulseSchedule:
         return val
 
 
-@dataclass(frozen=True)
-class RotationParams:
-    """Generalized Rabi frequency, duration and rotation angle, Theta = Omega * dt."""
-
-    omega: float
-    duration: float
-    theta: float
-
-    def __post_init__(self):
-        if abs(self.theta - self.omega * self.duration) > 1e-12 * max(1.0, abs(self.theta)):
-            raise ValueError("inconsistent rotation parameters: theta != omega * duration")
-
-
-def rotation_params(spin: SpinQuantum, gamma_b1: float, theta: float) -> RotationParams:
-    """Timing of a global rotation by ``theta`` under uniform multi-tone drive.
+def rotation_duration(spin: SpinQuantum, gamma_b1: float, theta: float) -> float:
+    """Duration of a global rotation by ``theta`` under uniform multi-tone drive.
 
     The two-level Rabi frequency gamma_B1/2 is shared among the 2I tones,
-    giving Omega = gamma_B1 / 4I; for I = 1/2 this recovers gamma_B1/2.
+    giving Omega = gamma_B1 / 4I (gamma_B1/2 for I = 1/2) and the duration
+    theta / Omega.
     """
     if gamma_b1 <= 0:
         raise ValueError(f"gamma_b1 must be positive, got {gamma_b1}")
-    omega = gamma_b1 / (2 * spin.twice_i)
-    return RotationParams(omega=omega, duration=theta / omega, theta=theta)
+    return theta / (gamma_b1 / (2 * spin.twice_i))
 
 
 def cat_schedule(freqs, delta_phi: float, t_wait: float, t_half_pi: float) -> PulseSchedule:
@@ -219,7 +197,6 @@ def cat_schedule(freqs, delta_phi: float, t_wait: float, t_half_pi: float) -> Pu
         tones=tuple(ToneSpec(w, eps, phi2) for w in freqs),
         t_start=t2,
         t_end=t2 + t_half_pi,
-        phase_origin=t2,
     )
     return PulseSchedule(segments=(seg1, seg2))
 
@@ -278,13 +255,13 @@ def segment_rotating_hamiltonian(
 ) -> np.ndarray:
     """Rotating-frame Hamiltonian of one segment, including frame bookkeeping.
 
-    With tone phases locked to the segment's phase origin and the rotating
-    frame referenced to absolute t = 0, each tone appears in the frame with
-    the effective phase phi - omega * origin (plus the drive-axis offset).
+    With tone phases locked to the segment's start and the rotating frame
+    referenced to absolute t = 0, each tone appears in the frame with the
+    effective phase phi - omega * t_start (plus the drive-axis offset).
     """
     offset = drive_phase_offset(drive_axis)
     effective = tuple(
-        ToneSpec(t.omega, t.eps, wrap_phase(t.phi - t.omega * segment.origin + offset))
+        ToneSpec(t.omega, t.eps, wrap_phase(t.phi - t.omega * segment.t_start + offset))
         for t in segment.tones
     )
     return rotating_frame_hamiltonian(effective, spin, gamma_b1, ladder)

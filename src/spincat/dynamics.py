@@ -9,13 +9,14 @@ f(t_mid) come from tone phasors, one small product per chunk of steps.
 Every step map is one polynomial in c, sum_j c^j M_j; its coefficients
 come once per run from one exponential of a block-bidiagonal matrix.  Two consecutive steps a, b are
 one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so the
-steps between two stored samples become one such map per pair (and one
-single-step map for an odd last step), multiplied pairwise and taken one
-Newton-Schulz step toward unitarity.  Both evolvers check their
-conservation laws (norm, trace, positivity) at every stored sample.
+steps of a chunk become one such map per pair (and one single-step map for
+an odd last step), multiplied pairwise and taken one Newton-Schulz step
+toward unitarity.  Both evolvers check their conservation laws (norm,
+trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
-:class:`Drive`.  The Lindblad evolver takes only a constant (d, d) matrix.
+:class:`Drive`, whose run stores its first and last states only.  The
+Lindblad evolver takes only a constant (d, d) matrix.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class TimeGrid:
 
     The span is divided into an integer number of equal steps no longer than
     ``dt``; the first, every ``output_stride``-th and the last state are
-    stored (the default ``None``: the first and last only).
+    stored (the default ``None``: the first and last only).  Only a constant
+    generator takes a stride.
     """
 
     t_start: float
@@ -320,12 +322,13 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     (``CHUNK_BYTES`` of pair maps) from
     :meth:`PulseSegment.midpoint_amplitudes`: per chunk one complex
     exponential per tone and one small product with a phasor table built
-    once per call, |c| <= 1 by the segment's own checks.  Between two
-    stored samples each pair of steps takes one pair map and an odd last
-    step one single-step map; the maps are multiplied pairwise, and
-    their product is taken one Newton-Schulz step toward unitarity before it
-    acts on the state, so the state takes one matrix-vector product per
-    stored sample and chunk.
+    once per call, |c| <= 1 by the segment's own checks.  In a chunk each
+    pair of steps takes one pair map and an odd last step one single-step
+    map; the maps are multiplied pairwise, and their product is taken one
+    Newton-Schulz step toward unitarity before it acts on the state, so the
+    state takes one matrix-vector product per chunk.  A drive run stores
+    its first and last states only: a grid with an ``output_stride`` is
+    refused.
 
     The state norm is checked at every stored sample; a drift beyond 1e-6
     aborts.
@@ -335,25 +338,19 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     steps = grid.sample_steps
 
     if isinstance(h, Drive):
+        if grid.output_stride is not None:
+            raise ValueError(
+                "a Drive run stores its first and last states only; "
+                f"output_stride must be None, got {grid.output_stride!r}"
+            )
         d = psi.size
         h0, x = _drive_terms(h, d)
         m = _step_map_coefficients(h0, x, dt)
         coeffs, pair_coeffs = m.view(float), _pair_coefficients(m, d).view(float)
-        n = grid.n_steps
-        chunk = _chunk_steps(d)
         states = [psi]
-        amplitudes = h.pulse.midpoint_amplitudes(grid.t_start, dt, n, chunk)
-        for k0, c in zip(range(0, n, chunk), amplitudes):
-            k1 = k0 + c.size
-            # runs of steps ending at each stored step inside the chunk
-            cuts = steps[(steps > k0) & (steps <= k1)] - k0
-            start = 0
-            for cut in cuts.tolist():
-                psi = _run_map(_pair_maps(c[start:cut], coeffs, pair_coeffs, d)) @ psi
-                states.append(psi)
-                start = cut
-            if start < k1 - k0:
-                psi = _run_map(_pair_maps(c[start:], coeffs, pair_coeffs, d)) @ psi
+        for c in h.pulse.midpoint_amplitudes(grid.t_start, dt, grid.n_steps, _chunk_steps(d)):
+            psi = _run_map(_pair_maps(c, coeffs, pair_coeffs, d)) @ psi
+        states.append(psi)
         hint = f"; reduce dt (currently {dt})"
     else:
         h = np.asarray(h, dtype=complex)

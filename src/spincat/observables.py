@@ -14,7 +14,6 @@ from .spin import DM_HERMITICITY_TOL, SpinQuantum, is_hermitian
 __all__ = [
     "HusimiGrid",
     "SizeSeries",
-    "expectation_and_variance",
     "effective_size",
     "effective_sizes",
     "husimi_q",
@@ -43,7 +42,6 @@ class HusimiGrid:
     thetas: np.ndarray
     phis: np.ndarray
     values: np.ndarray
-    convention: str = HUSIMI_CONVENTION
 
     def integral(self) -> float:
         """Quadrature-weighted sphere integral of Q (should be 1)."""
@@ -94,8 +92,12 @@ def _checked_observable(op) -> np.ndarray:
 def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
     """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
     density matrices, for an observable from :func:`_checked_observable`.
-    The variance clamp of :func:`expectation_and_variance` applies to each
-    state."""
+
+    Var O = <O^2> - <O>^2 cancels two numbers of size <O^2>, so it is
+    clamped to zero within -1e-12 max(1, <O^2>) to absorb rounding; a more
+    negative value indicates an inconsistent input (an unnormalized state,
+    for one) and raises.
+    """
     states = np.asarray(states)
     d = op.shape[0]
     if states.shape[1:] not in ((d,), (d, d)):
@@ -114,23 +116,11 @@ def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
     return e, np.maximum(var, 0.0)
 
 
-def expectation_and_variance(state: np.ndarray, op: np.ndarray) -> tuple:
-    """Return (<O>, Var O) for a pure state or density matrix.
-
-    Var O = <O^2> - <O>^2 cancels two numbers of size <O^2>, so it is
-    clamped to zero within -1e-12 max(1, <O^2>) to absorb rounding; a more
-    negative value indicates an inconsistent input (an unnormalized state,
-    for one) and raises.
-    """
-    e, var = _moments(np.asarray(state)[None], _checked_observable(op))
-    return float(e[0]), float(var[0])
-
-
 def effective_size(state: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> float:
     """Degree of superposition (2/I) Var(O): 1 for a coherent state, 2I for
     an ideal cat measured along its separation axis."""
-    _, var = expectation_and_variance(state, op)
-    return 2.0 * var / spin.i
+    _, var = _moments(np.asarray(state)[None], _checked_observable(op))
+    return 2.0 * float(var[0]) / spin.i
 
 
 def effective_sizes(states: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> np.ndarray:
@@ -259,6 +249,6 @@ def save_size_series(series: SizeSeries, path, header_extra: str = "") -> None:
 
 def save_husimi(grid: HusimiGrid, path, header_extra: str = "") -> None:
     """Write a three-column (theta, phi, Q) table with spin and convention."""
-    header = [f"twice_i: {grid.spin.twice_i}", f"convention: {grid.convention}",
+    header = [f"twice_i: {grid.spin.twice_i}", f"convention: {HUSIMI_CONVENTION}",
               header_extra, "theta_rad,phi_rad,Q"]
     _write_table(path, filter(None, header), grid.values.reshape(-1, 1), grid.phis, grid.thetas)

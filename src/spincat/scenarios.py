@@ -32,7 +32,7 @@ from .control import (
     givens_schedule,
     oat_equivalent_phase_shifts,
     rotating_frame_hamiltonian,
-    rotation_params,
+    rotation_duration,
     segment_rotating_hamiltonian,
 )
 from .dynamics import (
@@ -330,9 +330,7 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     return _neff_series(states, times, _measure_operator(spin, tag), spin, tag)
 
 
-def ramsey_cat_protocol(
-    cfg: ScenarioConfig, t_values=None, phase_rule: str = "rotating"
-) -> SizeSeries:
+def ramsey_cat_protocol(cfg: ScenarioConfig, phase_rule: str = "rotating") -> SizeSeries:
     """N_eff(Iz) after the two-pulse multi-tone protocol, versus the gap T.
 
     ``phase_rule = "fixed"`` keeps the second pulse phase at pi/2, producing
@@ -349,12 +347,11 @@ def ramsey_cat_protocol(
     omega_ref = 0.0
     if phase_rule == "rotating":
         omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
-    if t_values is None:
-        if "t_max" in cfg.params:
-            t_max = _param(cfg, "t_max", None)
-        else:
-            t_max = 2.5 * np.pi / abs(_twisting(cfg))
-        t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
+    if "t_max" in cfg.params:
+        t_max = _param(cfg, "t_max", None)
+    else:
+        t_max = 2.5 * np.pi / abs(_twisting(cfg))
+    t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
     return _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
 
 
@@ -392,7 +389,7 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
         raise ValueError("need at least one gap time, each finite and >= 0")
     spin = cfg.spin
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     h1, u2, nu = _pulse_pair(cfg, _ladder(cfg), t_half, omega_ref)
     psi0 = eigenstate(spin, spin.i)
     rho0 = np.outer(psi0, psi0.conj())
@@ -429,23 +426,23 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
 
     Two back-to-back pi/2 pulses replace the pulse / free-twisting / pulse
     protocol: the pulse acting on the twisting eigenstate |I,I> carries the
-    exact per-tone gauge shifts for T = pi/(2 omega_q_eff), so the pair of
-    pulses reproduces the free-evolution protocol including global phase.
-    The reference state runs the nonlinear evolution
-    exp(-i T omega_q_eff Iz^2) for real between uniform-phase pulses.
+    exact per-tone gauge shifts for the wait T (``params["t_wait"]``, >= 0;
+    default the cat time pi/(2 |omega_q_eff|)), so the pair of pulses
+    reproduces the free-evolution protocol including global phase.  The
+    reference state runs the nonlinear evolution exp(-i T omega_q_eff Iz^2)
+    for real between uniform-phase pulses.
     """
     spin = cfg.spin
     ladder = _ladder(cfg)
     omega_eff = _twisting(cfg)
-    t_wait = _param(cfg, "t_wait", np.pi / (2 * omega_eff))
-    # only a given wait is checked: the default is < 0 where omega_eff is
-    if "t_wait" in cfg.params and t_wait < 0:
+    t_wait = _param(cfg, "t_wait", np.pi / (2 * abs(omega_eff)))
+    if t_wait < 0:
         raise ValueError(f"config key 'params.t_wait' must be >= 0, got {t_wait!r}")
     base_phase = _param(cfg, "base_phase", 0.0)
     n = spin.twice_i
     freqs = ladder.transition_freqs
     eps = 1.0 / n
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
 
     shifts = oat_equivalent_phase_shifts(t_wait, omega_eff, spin)
     phases_base = np.full(n, base_phase)
@@ -690,9 +687,7 @@ class LabValidationResult:
     infidelity_vs_ideal: float
 
 
-def multitone_lab_validation(
-    cfg: ScenarioConfig, scale: float = 20.0, dt: float = LAB_FRAME_DT
-) -> LabValidationResult:
+def multitone_lab_validation(cfg: ScenarioConfig, scale: float, dt: float) -> LabValidationResult:
     """Full-model check of the rotating-wave multi-tone pi/2 rotation.
 
     gamma*B1 and omega_q are scaled up together (preserving their ratio, so
@@ -706,7 +701,7 @@ def multitone_lab_validation(
     quad = replace(cfg.quad, omega_q=cfg.quad.omega_q * scale)
     ladder = _ladder(replace(cfg, fields=fields, quad=quad))
     h_static = static_hamiltonian(fields, quad, spin)
-    t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, fields.gamma_b1, np.pi / 2)
     seg = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half).segments[0]
     gamma_b1 = fields.gamma_b1
     drive = _lab_hamiltonian(h_static, fields, spin, seg)

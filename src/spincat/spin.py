@@ -208,29 +208,12 @@ def check_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(a)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Fidelity between two states, each a vector or a density matrix.
-
-    Pure/pure pairs give |<a|b>|^2, pure/mixed give <psi|rho|psi>, and
-    mixed/mixed pairs the Uhlmann fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
-    """
+    """Fidelity |<a|b>|^2 of two pure states, each a vector."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape[0] != b.shape[0]:
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"fidelity takes two state vectors, got shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if a.ndim == 1 and b.ndim == 1:
-        f = abs(np.vdot(a, b)) ** 2
-    elif a.ndim == 1:
-        f = np.vdot(a, b @ a).real
-    elif b.ndim == 1:
-        f = np.vdot(b, a @ b).real
-    else:
-        sqrt_a = _psd_sqrt(a)
-        f = _psd_sqrt(sqrt_a @ b @ sqrt_a).trace().real ** 2
-    return float(min(max(f, 0.0), 1.0))
+    return float(min(abs(np.vdot(a, b)) ** 2, 1.0))

@@ -10,7 +10,7 @@ import scipy.linalg
 from spincat.control import (
     cat_schedule,
     rotating_frame_hamiltonian,
-    rotation_params,
+    rotation_duration,
     segment_rotating_hamiltonian,
 )
 from spincat.dynamics import TimeGrid, evolve_unitary
@@ -63,11 +63,12 @@ def test_criterion_1_oat_cat_size():
 
 def test_criterion_2_revival_period():
     """Revival spacing pi/wq = 12.5 us within one output step."""
-    cfg = paper_config()
-    wq = cfg.quad.omega_q
+    wq = paper_config().quad.omega_q
+    cfg = paper_config(params={"t_max": 2.5 * np.pi / wq, "n_points": 1251})
+    series = ramsey_cat_protocol(cfg, phase_rule="rotating")
     t_vals = np.linspace(0.0, 2.5 * np.pi / wq, 1251)
+    assert np.array_equal(series.times, t_vals)
     step = t_vals[1] - t_vals[0]
-    series = ramsey_cat_protocol(cfg, t_values=t_vals, phase_rule="rotating")
     peaks = revival_peaks(series, min_height=5.0)
     spacings = np.diff(peaks.times)
     ok = len(spacings) >= 1 and np.all(np.abs(spacings - 12.5e-6) <= step + 1e-15)
@@ -85,7 +86,7 @@ def test_criterion_3_multitone_rotation():
     cfg = paper_config()
     spin = cfg.spin
     ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, spin), spin)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     sched = cat_schedule(ladder.transition_freqs, 0.0, 0.0, t_half)
     h1 = segment_rotating_hamiltonian(
         sched.segments[0], spin, cfg.fields.gamma_b1, ladder, cfg.fields.drive_axis
@@ -208,7 +209,7 @@ def test_criterion_9_integrator_oracles():
 
     # the two-pulse protocol at the cat point (both segments)
     ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, spin), spin)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     t_cat = np.pi / (2 * wq)
     delta_phi = np.pi / 2 + cfg.fields.gamma_b0 * (t_cat + t_half)
     sched = cat_schedule(ladder.transition_freqs, delta_phi, t_cat, t_half)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +35,22 @@ def test_virtual_phase_command(capsys):
     rc = main(["virtual-phase"])
     assert rc == 0
     assert "fidelity vs free-evolution cat = 1.0" in capsys.readouterr().out
+
+
+def test_virtual_phase_waits_the_cat_time_whatever_the_sign_of_the_twist(tmp_path, capsys):
+    # a principal axis at mu = pi/2, past the magic angle, twists with
+    # omega_eff = -omega_q / 2; the default wait is still the cat time
+    # pi / (2 |omega_eff|) > 0, so every increment is minus the aligned one
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps({"quadrupole": {"euler_rad": [0, np.pi / 2, 0]}}))
+    assert main(["virtual-phase"]) == 0
+    assert main(["virtual-phase", "--config", str(path)]) == 0
+    aligned, tilted = (
+        line.split("phase increments (rad) = ")[1].strip("[]").split(", ")
+        for line in capsys.readouterr().out.splitlines()
+    )
+    assert [float(x) for x in tilted] == [-float(x) for x in aligned]
+    assert "0.0" in tilted and "-0.0" not in tilted
 
 
 def test_givens_command(capsys):
@@ -194,6 +211,39 @@ def test_bad_params_value_is_a_diagnostic_exit(tmp_path, capsys, argv, params, k
     rc = main([*argv, "--config", str(path)])
     assert rc == 2
     assert f"config key {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["decoherence", "--gamma-m", "10", "10.0000001"], "--gamma-m"),
+        (["decoherence", "--gamma-e", "0.1", "0.1000000001"], "--gamma-e"),
+        (["tact", "--eta", "0.1", "0.1000001"], "--eta"),
+        (["tact", "--b0-hz", "1e6", "1000000.1"], "--b0-hz"),
+    ],
+)
+def test_two_cases_with_one_output_name_are_refused_before_any_runs(tmp_path, capsys, argv, flag):
+    # both values format as one file name (decoherence_gm10_ge0.1.csv,
+    # tact_eta0.1_b00Hz.csv), so the second case would overwrite the first
+    out = tmp_path / "d"
+    assert main([*argv, "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert f"two {flag} values map to the output name" in err
+    assert printed == ""
+    assert list(out.iterdir()) == []
+
+
+# older setuptools warn that [tool.setuptools] is beta
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+def test_the_package_version_is_the_project_version():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    import spincat
+
+    pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    project = read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == spincat.__version__
 
 
 def test_coherence_scaling_reads_gamma_m_from_the_decoherence_section(tmp_path, capsys):

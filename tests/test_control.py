@@ -13,7 +13,7 @@ from spincat.control import (
     givens_schedule,
     oat_equivalent_phase_shifts,
     rotating_frame_hamiltonian,
-    rotation_params,
+    rotation_duration,
     segment_rotating_hamiltonian,
     wrap_phase,
 )
@@ -63,28 +63,26 @@ def test_multitone_envelope_brute_force():
     assert first.envelope(t) == pytest.approx(expected, rel=1e-12)
 
 
-def test_rotation_params_paper_values():
+def test_rotation_duration_paper_values():
     spin = SpinQuantum(7)
-    params = rotation_params(spin, GB1, np.pi / 2)
-    assert params.duration == pytest.approx(4.375e-3, rel=1e-12)
-    assert rotation_params(spin, GB1, np.pi).duration == pytest.approx(8.75e-3, rel=1e-12)
+    assert rotation_duration(spin, GB1, np.pi / 2) == pytest.approx(4.375e-3, rel=1e-12)
+    assert rotation_duration(spin, GB1, np.pi) == pytest.approx(8.75e-3, rel=1e-12)
     # two-level limit recovers the bare Rabi frequency gamma_B1 / 2
-    assert rotation_params(SpinQuantum(1), GB1, np.pi).omega == pytest.approx(GB1 / 2)
+    assert rotation_duration(SpinQuantum(1), GB1, np.pi) == pytest.approx(np.pi / (GB1 / 2))
     with pytest.raises(ValueError):
-        rotation_params(spin, 0.0, np.pi)
+        rotation_duration(spin, 0.0, np.pi)
 
 
 def test_cat_schedule_layout():
     spin, ladder = paper_ladder()
     freqs = ladder.transition_freqs
-    t_half = rotation_params(spin, GB1, np.pi / 2).duration
+    t_half = rotation_duration(spin, GB1, np.pi / 2)
     sched = cat_schedule(freqs, np.pi / 2, 0.0, t_half)
     assert len(sched.segments) == 2
     assert sched.segments[0].t_start == 0.0
     assert sched.segments[0].t_end == pytest.approx(t_half)
     assert sched.segments[1].t_start == pytest.approx(t_half)
     assert sched.t_end == pytest.approx(2 * t_half)
-    assert sched.segments[1].origin == pytest.approx(t_half)
     with pytest.raises(ValueError):
         cat_schedule(freqs, 0.0, -1e-6, t_half)
 
@@ -125,15 +123,15 @@ def test_rotating_frame_uniform_phases_collective_generator():
     assert_allclose(h_x, GB1 * ops.Ix / (2 * n), atol=1e-12 * GB1)
     # the collective generator is gamma_B1/(4I) Ix: a pi/2 pulse of the
     # published duration rotates |I,I> onto the equator with unit fidelity
-    params = rotation_params(spin, GB1, np.pi / 2)
-    u = scipy.linalg.expm(-1j * h_x * params.duration)
+    t_half = rotation_duration(spin, GB1, np.pi / 2)
+    u = scipy.linalg.expm(-1j * h_x * t_half)
     out = u @ eigenstate(spin, spin.i)
     assert fidelity(out, coherent_state(spin, np.pi / 2, -np.pi / 2)) > 1 - 1e-9
 
     tones_y = tuple(ToneSpec(w, 1 / n, np.pi / 2) for w in ladder.transition_freqs)
     h_y = rotating_frame_hamiltonian(tones_y, spin, GB1, ladder)
     assert_allclose(h_y, GB1 * ops.Iy / (2 * n), atol=1e-12 * GB1)
-    u = scipy.linalg.expm(-1j * h_y * params.duration)
+    u = scipy.linalg.expm(-1j * h_y * t_half)
     out = u @ eigenstate(spin, spin.i)
     assert fidelity(out, coherent_state(spin, np.pi / 2, 0.0)) > 1 - 1e-9
 
@@ -153,7 +151,7 @@ def test_rotating_frame_rejects_off_resonant_tone():
 
 
 def test_segment_frame_bookkeeping():
-    # a segment starting at t0 with phase origin t0 appears in the rotating
+    # a segment starting at t0, its tones locked to t0, appears in the rotating
     # frame with phases shifted by -omega * t0 (plus the drive-axis offset)
     spin, ladder = paper_ladder()
     n = spin.twice_i
@@ -194,7 +192,7 @@ def test_oat_phase_shift_equivalence_random_waits(twice_i):
     h_static = static_hamiltonian(FieldSpec(GB0, GB1), QuadrupoleSpec(WQ), spin)
     ladder = energy_ladder(h_static, spin)
     n = spin.twice_i
-    t_half = rotation_params(spin, GB1, np.pi / 2).duration
+    t_half = rotation_duration(spin, GB1, np.pi / 2)
     psi0 = eigenstate(spin, spin.i)
     omega_eff = WQ
     rng = np.random.default_rng(twice_i)
@@ -243,9 +241,10 @@ def test_givens_schedule_shapes():
 def test_midpoint_amplitudes_follow_the_envelope_and_its_half_open_window():
     # midpoints -0.25, 0.0, 0.25, ..., 1.25 are exact binary fractions, so
     # two fall exactly on t_start = 0 (inside) and t_end = 1 (outside);
-    # chunks of 3 over 7 steps end with a short one
+    # chunks of 3 over 7 steps end with a short one; the phases phi_j +
+    # 0.3 omega_j are those of tones locked to 0.3 before t_start
     seg = PulseSegment(
-        (ToneSpec(3.0, 0.5, 0.4), ToneSpec(-7.5, 0.25, -1.0)), 0.0, 1.0, phase_origin=-0.3
+        (ToneSpec(3.0, 0.5, 0.4 + 0.3 * 3.0), ToneSpec(-7.5, 0.25, -1.0 + 0.3 * -7.5)), 0.0, 1.0
     )
     t_mid = -0.25 + 0.25 * np.arange(7)
     chunks = list(seg.midpoint_amplitudes(-0.375, 0.25, 7, 3))
@@ -270,13 +269,12 @@ def test_segment_validation():
     ):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             ToneSpec(*args)
-    # the window and the phase origin must be finite too, so every envelope
-    # value is a finite sum of tones, |f| <= summed amplitudes <= 1
+    # the window must be finite too, so every envelope value is a finite
+    # sum of tones, |f| <= summed amplitudes <= 1
     for field, kwargs in (
         ("t_start", dict(t_start=-np.inf)),
         ("t_end", dict(t_end=np.inf)),
         ("t_start", dict(t_start=np.nan)),
-        ("phase_origin", dict(phase_origin=np.nan)),
     ):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             PulseSegment(**{"tones": (tone,), "t_start": 0.0, "t_end": 1.0, **kwargs})

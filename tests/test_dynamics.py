@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from spincat.control import PulseSegment, ToneSpec, cat_schedule, rotation_params
+from spincat.control import PulseSegment, ToneSpec, cat_schedule, rotation_duration
 from spincat.dynamics import (
     CHUNK_BYTES,
     TAYLOR_TAIL_TOL,
@@ -127,7 +127,7 @@ def test_unitary_norm_preservation_long_run():
 
 def larmor_tone(t_end):
     """One full-amplitude tone cos(gamma*B0 t) on [0, t_end)."""
-    return PulseSegment((ToneSpec(GB0, 1.0, 0.0),), 0.0, t_end, phase_origin=0.0)
+    return PulseSegment((ToneSpec(GB0, 1.0, 0.0),), 0.0, t_end)
 
 
 def test_unitary_self_convergence_time_dependent():
@@ -172,7 +172,7 @@ def lab_check_drive(twice_i=7, scale=25.0):
     fields = FieldSpec(gamma_b0=GB0, gamma_b1=TWO_PI * 800.0 * scale)
     h_static = static_hamiltonian(fields, QuadrupoleSpec(omega_q=WQ * scale), spin)
     ladder = energy_ladder(h_static, spin)
-    t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, fields.gamma_b1, np.pi / 2)
     seg = PulseSegment(
         tones=tuple(ToneSpec(float(w), 1.0 / twice_i, 0.0) for w in ladder.transition_freqs),
         t_start=0.0,
@@ -191,7 +191,7 @@ def test_phasor_amplitudes_match_direct_cosines(pulse, dt, before, after):
     # the chunked phasor amplitudes against PulseSegment.envelope's direct
     # cosines at every midpoint, at 2I = 7, scale 25: the whole first pulse
     # at 1 ns and 100 ns, a grid that runs 1750 steps past t_end, and the
-    # cat protocol's second pulse (its own phase origin, phase 1.3) on a grid
+    # cat protocol's second pulse (locked to its own start, phase 1.3) on a grid
     # that starts 2000 steps before it and ends 2000 after.  The two differ
     # by the rounding of float64 phases of ~1e4 rad: 1.7e-12, 6.1e-13,
     # 1.9e-12 and 4.2e-12 measured.  Outside [t_start, t_end) both are 0.
@@ -217,10 +217,9 @@ def test_chunked_unitary_matches_per_step_oracle():
     # reference_final_state(refine=1) is the same midpoint rule with one
     # scipy expm per step; the step-map polynomial must reproduce it
     spin, drive, _ = lab_check_drive()
-    n_steps, stride = 20003, 1000
-    chunk = _chunk_steps(spin.dimension)
-    assert n_steps % chunk and stride % chunk
-    grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
+    n_steps = 20003
+    assert n_steps % _chunk_steps(spin.dimension)
+    grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9)
     assert grid.n_steps == n_steps
     psi0 = eigenstate(spin, spin.i)
     traj = evolve_unitary(drive, psi0, grid)
@@ -229,9 +228,8 @@ def test_chunked_unitary_matches_per_step_oracle():
     # per-step expm drifts ~3e-14 here; the products without their
     # Newton-Schulz step drift -1.2e-13, which moves printed infidelities
     assert abs(np.linalg.norm(traj.final_state) - 1.0) <= 3e-13
-    expected = [grid.t_start + j * stride * grid.step for j in range(n_steps // stride + 1)]
-    expected.append(grid.t_start + n_steps * grid.step)
-    assert traj.times.tolist() == expected
+    assert traj.times.tolist() == [grid.t_start, grid.t_start + n_steps * grid.step]
+    assert len(traj.states) == 2
 
 
 def test_lab_check_drive_run_keeps_its_norm_to_rounding():
@@ -292,30 +290,54 @@ def test_coarse_drive_grid_takes_a_higher_degree_and_matches_the_oracle():
     assert np.linalg.norm(main - oracle) <= 2e-12  # 5.2e-13 measured
 
 
-@pytest.mark.parametrize("stride", [1, 7, 100, 255, 256, 511, 512, 513, 700])
-def test_drive_samples_match_per_step_expm_at_every_stride(stride):
-    # 700 and 1101 steps over chunks of 512 (256 maps of two steps each):
-    # strides land inside chunks, on chunk edges, on both, and only at the
-    # end; odd strides and the odd 1101 leave runs that end in a
+@pytest.mark.parametrize("n_steps", [1, 2, 511, 512, 513, 1024, 1101])
+def test_drive_final_state_matches_per_step_expm(n_steps):
+    # chunks of 512 steps (256 maps of two steps each): runs of one step and
+    # of one pair, one step short of a chunk edge, on it and one past it,
+    # two whole chunks, and an odd tail after two chunks; odd runs end in a
     # single-step map
     spin, drive, _ = lab_check_drive()
-    chunk = _chunk_steps(spin.dimension)
-    assert chunk == 512
+    assert _chunk_steps(spin.dimension) == 512
+    psi0 = eigenstate(spin, spin.i)
+    grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9)
+    assert grid.n_steps == n_steps
+    traj = evolve_unitary(drive, psi0, grid)
+    assert traj.times.tolist() == [grid.t_start, grid.t_start + n_steps * grid.step]
+    assert np.array_equal(traj.states[0], psi0)
+    oracle = reference_final_state(drive, psi0, grid, refine=1)  # one expm per step
+    assert np.linalg.norm(traj.final_state - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("stride", [1, 7, 100, 255, 256, 511, 512, 513, 700])
+def test_drive_samples_match_per_step_expm_at_every_stride(stride):
+    # a drive run stores its end states only, so mid-run samples come from
+    # chained runs, each grid starting where the last one ended: mid-pulse
+    # and mid-chunk of the whole span.  Over 700 and 1101 steps the strides
+    # land inside chunks, on chunk edges, on both, and only at the end; odd
+    # strides and the odd 1101 leave runs that end in a single-step map
+    spin, drive, _ = lab_check_drive()
     h0, x = np.asarray(drive.h0), np.asarray(drive.x)
     psi0 = eigenstate(spin, spin.i)
     for n_steps in (700, 1101):
         grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
-        assert grid.n_steps == n_steps
-        traj = evolve_unitary(drive, psi0, grid)
         t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
         psis = [psi0.astype(complex)]
         for c in drive.pulse.envelope(t_mid):
             psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
         steps = grid.sample_steps
-        assert traj.times.tolist() == (grid.t_start + steps * grid.step).tolist()
-        assert len(traj.states) == len(steps)
-        for state, k in zip(traj.states, steps):
-            assert np.linalg.norm(state - psis[k]) <= 1e-12
+        state = psi0
+        for k0, k1 in zip(steps[:-1].tolist(), steps[1:].tolist()):
+            run = TimeGrid(k0 * 1e-9, k1 * 1e-9, dt=1e-9)
+            assert run.n_steps == k1 - k0
+            state = evolve_unitary(drive, state, run).final_state
+            assert np.linalg.norm(state - psis[k1]) <= 1e-12
+
+
+def test_drive_run_refuses_an_output_stride():
+    spin, drive, t_half = lab_check_drive()
+    grid = TimeGrid(0.0, t_half, dt=1e-9, output_stride=1000)
+    with pytest.raises(ValueError, match="output_stride must be None, got 1000"):
+        evolve_unitary(drive, eigenstate(spin, spin.i), grid)
 
 
 def test_drive_stepping_peak_memory_stays_below_two_chunks_of_maps():
@@ -434,7 +456,7 @@ def first_cat_pulse(twice_i):
     rotating frame at the paper parameters: the spin, the pulse Hamiltonian
     and its duration."""
     cfg = paper_config(twice_i=twice_i)
-    t_half = rotation_params(cfg.spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(cfg.spin, cfg.fields.gamma_b1, np.pi / 2)
     h1, _, _ = _pulse_pair(cfg, _ladder(cfg), t_half, cfg.fields.gamma_b0)
     return cfg.spin, h1, t_half
 

@@ -8,11 +8,11 @@ from numpy.testing import assert_allclose
 import spincat.observables
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import (
+    HUSIMI_CONVENTION,
     SizeSeries,
     cat_coherence,
     effective_size,
     effective_sizes,
-    expectation_and_variance,
     husimi_q,
     _BLOCK_ROWS,
     _write_table,
@@ -36,19 +36,6 @@ def zcat(spin):
     return (eigenstate(spin, spin.i) + eigenstate(spin, -spin.i)) / np.sqrt(2)
 
 
-def test_expectation_and_variance_examples():
-    spin = SpinQuantum(7)
-    ops = spin_operators(spin)
-    e, v = expectation_and_variance(eigenstate(spin, 3.5), ops.Iz)
-    assert (e, v) == (pytest.approx(3.5), pytest.approx(0.0, abs=1e-12))
-    e, v = expectation_and_variance(coherent_state(spin, np.pi / 2, 0.0), ops.Ix)
-    assert e == pytest.approx(3.5, abs=1e-10)
-    assert v == pytest.approx(0.0, abs=1e-10)
-    e, v = expectation_and_variance(zcat(spin), ops.Iz)
-    assert e == pytest.approx(0.0, abs=1e-12)
-    assert v == pytest.approx(3.5 ** 2, rel=1e-12)
-
-
 def test_variance_clamp_scales_with_the_second_moment():
     # |3.5> of 2I = 7 with norm^2 1 + delta has <Iz^2> = 12.25 (1 + delta)
     # and Var Iz = -12.25 delta (1 + delta): the allowance is
@@ -56,17 +43,16 @@ def test_variance_clamp_scales_with_the_second_moment():
     # -1e-12) is rounding, and delta = 1e-11 is not
     spin = SpinQuantum(7)
     iz = spin_operators(spin).Iz
-    e, v = expectation_and_variance(np.sqrt(1 + 1e-13) * eigenstate(spin, 3.5), iz)
-    assert e == pytest.approx(3.5) and v == 0.0
+    assert effective_size(np.sqrt(1 + 1e-13) * eigenstate(spin, 3.5), iz, spin) == 0.0
     with pytest.raises(ValueError, match=r"variance -1\.2\d*e-10 is negative beyond rounding"):
-        expectation_and_variance(np.sqrt(1 + 1e-11) * eigenstate(spin, 3.5), iz)
+        effective_size(np.sqrt(1 + 1e-11) * eigenstate(spin, 3.5), iz, spin)
     # below <O^2> = 1 the allowance stays 1e-12: at 2I = 1, <Iz^2> = 0.25,
     # so Var -5e-13 passes and -2.5e-12 raises
     half = SpinQuantum(1)
     iz, up = spin_operators(half).Iz, eigenstate(half, 0.5)
-    assert expectation_and_variance(np.sqrt(1 + 2e-12) * up, iz)[1] == 0.0
+    assert effective_size(np.sqrt(1 + 2e-12) * up, iz, half) == 0.0
     with pytest.raises(ValueError, match="negative beyond rounding"):
-        expectation_and_variance(np.sqrt(1 + 1e-11) * up, iz)
+        effective_size(np.sqrt(1 + 1e-11) * up, iz, half)
 
 
 def test_peak_time_takes_the_earliest_of_peaks_equal_to_rounding():
@@ -86,7 +72,7 @@ def test_peak_time_takes_the_earliest_of_peaks_equal_to_rounding():
 def test_expectation_rejects_non_hermitian():
     spin = SpinQuantum(3)
     with pytest.raises(ValueError):
-        expectation_and_variance(eigenstate(spin, 1.5), np.triu(np.ones((4, 4))))
+        effective_size(eigenstate(spin, 1.5), np.triu(np.ones((4, 4))), spin)
 
 
 def test_effective_size_reference_points():
@@ -94,6 +80,7 @@ def test_effective_size_reference_points():
     ops = spin_operators(spin)
     coh = coherent_state(spin, np.pi / 2, 0.0)
     assert effective_size(coh, ops.Iy, spin) == pytest.approx(1.0, rel=1e-10)
+    assert effective_size(coh, ops.Ix, spin) == pytest.approx(0.0, abs=1e-10)
     assert effective_size(zcat(spin), ops.Iz, spin) == pytest.approx(7.0, rel=1e-12)
     assert effective_size(eigenstate(spin, 3.5), ops.Iz, spin) == pytest.approx(
         0.0, abs=1e-12
@@ -431,7 +418,7 @@ def _row_by_row_size_series(series, path, header_extra=""):
 def _row_by_row_husimi(grid, path, header_extra=""):
     with open(path, "w") as fh:
         fh.write(f"# twice_i: {grid.spin.twice_i}\n")
-        fh.write(f"# convention: {grid.convention}\n")
+        fh.write(f"# convention: {HUSIMI_CONVENTION}\n")
         if header_extra:
             fh.write(f"# {header_extra}\n")
         fh.write("# theta_rad,phi_rad,Q\n")

@@ -14,7 +14,7 @@ from spincat.control import (
     cat_schedule,
     drive_phase_offset,
     rotating_frame_hamiltonian,
-    rotation_params,
+    rotation_duration,
     segment_rotating_hamiltonian,
 )
 from spincat.dynamics import (
@@ -111,10 +111,11 @@ def test_oat_closed_form_matches_stepped_evolution(twice_i):
 
 
 def test_ramsey_rotating_rule_revivals():
-    cfg = paper_config()
-    wq = cfg.quad.omega_q
+    wq = paper_config().quad.omega_q
+    cfg = paper_config(params={"t_max": 2.5 * np.pi / wq, "n_points": 1251})
+    series = ramsey_cat_protocol(cfg, phase_rule="rotating")
     t_vals = np.linspace(0.0, 2.5 * np.pi / wq, 1251)  # 25 ns steps
-    series = ramsey_cat_protocol(cfg, t_values=t_vals, phase_rule="rotating")
+    assert np.array_equal(series.times, t_vals)
     peaks = revival_peaks(series, min_height=0.9 * 7)
     assert len(peaks.times) >= 2
     assert np.all(peaks.values >= 0.95 * 7)
@@ -128,7 +129,7 @@ def test_ramsey_fixed_rule_oscillates_at_larmor_scale():
     gb0 = cfg.fields.gamma_b0
     period = np.pi / gb0
     t_vals = 6.25e-6 + np.linspace(0.0, 4 * period, 321)
-    series = ramsey_cat_protocol(cfg, t_values=t_vals, phase_rule="fixed")
+    series = _cat_signal(cfg, DecoherenceSpec(), 0.0, t_vals)  # the fixed rule
     swing = series.values.max() - series.values.min()
     assert swing > 1.0  # large fast variation
     peaks = revival_peaks(series)
@@ -139,7 +140,7 @@ def test_ramsey_fixed_rule_oscillates_at_larmor_scale():
 
 def test_ramsey_rejects_unknown_rule():
     with pytest.raises(ValueError):
-        ramsey_cat_protocol(paper_config(), t_values=[0.0], phase_rule="sideways")
+        ramsey_cat_protocol(paper_config(), phase_rule="sideways")
 
 
 def _per_sample_second_pulses(cfg, t_values, omega_ref):
@@ -147,7 +148,7 @@ def _per_sample_second_pulses(cfg, t_values, omega_ref):
     segment_rotating_hamiltonian, then expm (the sweeps' former path)."""
     spin = cfg.spin
     ladder = energy_ladder(static_hamiltonian(cfg.fields, cfg.quad, spin), spin)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     for t in t_values:
         delta_phi = np.pi / 2 + omega_ref * (t + t_half)
         seg = cat_schedule(ladder.transition_freqs, delta_phi, t, t_half).segments[1]
@@ -176,7 +177,7 @@ def test_ramsey_matches_per_sample_pulse_construction(twice_i, phase_rule):
         [[0.0], np.sort(rng.uniform(0.0, 2.5 * revival, 17)), [1.7e-3, 4.3e-3]]
     )
     omega_ref = cfg.fields.gamma_b0 if phase_rule == "rotating" else 0.0
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     psi1 = scipy.linalg.expm(-1j * _first_pulse_hamiltonian(cfg) * t_half) @ eigenstate(
         spin, spin.i
     )
@@ -185,15 +186,19 @@ def test_ramsey_matches_per_sample_pulse_construction(twice_i, phase_rule):
         effective_size(u2 @ psi1, iz, spin)
         for u2 in _per_sample_second_pulses(cfg, t_values, omega_ref)
     ]
-    series = ramsey_cat_protocol(cfg, t_values=t_values, phase_rule=phase_rule)
+    series = _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
     assert np.max(np.abs(series.values - expected)) <= 1e-8
+    # the protocol takes its reference frequency from the rule
+    protocol = ramsey_cat_protocol(replace(cfg, params={"t_max": 4.3e-3, "n_points": 5}), phase_rule)
+    signal = _cat_signal(cfg, DecoherenceSpec(), omega_ref, protocol.times)
+    assert np.array_equal(protocol.values, signal.values)
 
 
 def test_decoherence_matches_dense_lindblad_gap():
     cfg = paper_config(twice_i=3, params={"t_max": 400e-6, "n_points": 51})
     spin = cfg.spin
     dec = DecoherenceSpec(gamma_m=500.0, gamma_e=100.0)
-    t_half = rotation_params(spin, cfg.fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
     psi0 = eigenstate(spin, spin.i)
     rho1 = evolve_lindblad(
         _first_pulse_hamiltonian(cfg), np.outer(psi0, psi0.conj()), dec,
@@ -222,8 +227,9 @@ def test_gap_sweep_chunks_match_per_sample_sweeps():
     chunk = CHUNK_BYTES // (16 * cfg.spin.dimension ** 2)
     t_values = np.sort(np.random.default_rng(5).uniform(0.0, 30e-6, 601))
     assert t_values.size > 2 * chunk and t_values.size % chunk
-    series = ramsey_cat_protocol(cfg, t_values=t_values)
-    per_sample = [ramsey_cat_protocol(cfg, t_values=[t]).values[0] for t in t_values]
+    omega_ref = cfg.fields.gamma_b0
+    series = _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
+    per_sample = [_cat_signal(cfg, DecoherenceSpec(), omega_ref, [t]).values[0] for t in t_values]
     assert np.array_equal(series.times, t_values)
     assert np.max(np.abs(series.values - per_sample)) <= 1e-12
 
@@ -246,7 +252,7 @@ def test_gap_rule_matches_lab_frame_protocol():
     ladder = _ladder(cfg)
     h_static = static_hamiltonian(fields, cfg.quad, spin)
     energies, basis = np.linalg.eigh(h_static)
-    t_half = rotation_params(spin, fields.gamma_b1, np.pi / 2).duration
+    t_half = rotation_duration(spin, fields.gamma_b1, np.pi / 2)
     omega_ref = fields.gamma_b0
     revival = np.pi / abs(effective_oat_strength(cfg.quad, spin))
     gaps = np.array([0.13, 0.62, 3.37]) * revival
@@ -279,7 +285,7 @@ def test_gap_rule_matches_lab_frame_protocol():
 def test_gap_sweeps_reject_bad_gap_times():
     cfg = paper_config(twice_i=3)
     with pytest.raises(ValueError, match="gap time"):
-        ramsey_cat_protocol(cfg, t_values=[0.0, -1e-6])
+        _cat_signal(cfg, DecoherenceSpec(), 0.0, [0.0, -1e-6])
     with pytest.raises(ValueError, match="'params.t_max' must be > 0"):
         decoherence_sweep(replace(cfg, params={"t_max": -1e-3}))
     with pytest.raises(ValueError, match="'params.n_points' must be an integer >= 2"):
