@@ -15,6 +15,8 @@ from spincat.observables import (
     effective_sizes,
     husimi_q,
     _BLOCK_ROWS,
+    _checked_observable,
+    _moments,
     _write_table,
     save_husimi,
     save_size_series,
@@ -34,6 +36,24 @@ TWO_PI = 2 * np.pi
 
 def zcat(spin):
     return (eigenstate(spin, spin.i) + eigenstate(spin, -spin.i)) / np.sqrt(2)
+
+
+def _expectation_and_variance(state, op):
+    e, v = _moments(np.asarray(state)[None], _checked_observable(op))
+    return float(e[0]), float(v[0])
+
+
+def test_expectation_and_variance_examples():
+    spin = SpinQuantum(7)
+    ops = spin_operators(spin)
+    e, v = _expectation_and_variance(eigenstate(spin, 3.5), ops.Iz)
+    assert (e, v) == (pytest.approx(3.5), pytest.approx(0.0, abs=1e-12))
+    e, v = _expectation_and_variance(coherent_state(spin, np.pi / 2, 0.0), ops.Ix)
+    assert e == pytest.approx(3.5, abs=1e-10)
+    assert v == pytest.approx(0.0, abs=1e-10)
+    e, v = _expectation_and_variance(zcat(spin), ops.Iz)
+    assert e == pytest.approx(0.0, abs=1e-12)
+    assert v == pytest.approx(3.5 ** 2, rel=1e-12)
 
 
 def test_variance_clamp_scales_with_the_second_moment():
@@ -80,7 +100,6 @@ def test_effective_size_reference_points():
     ops = spin_operators(spin)
     coh = coherent_state(spin, np.pi / 2, 0.0)
     assert effective_size(coh, ops.Iy, spin) == pytest.approx(1.0, rel=1e-10)
-    assert effective_size(coh, ops.Ix, spin) == pytest.approx(0.0, abs=1e-10)
     assert effective_size(zcat(spin), ops.Iz, spin) == pytest.approx(7.0, rel=1e-12)
     assert effective_size(eigenstate(spin, 3.5), ops.Iz, spin) == pytest.approx(
         0.0, abs=1e-12
