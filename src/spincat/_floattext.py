@@ -1,9 +1,11 @@
 """The text of float64 arrays, byte for byte as Python's ``repr``.
 
-``float_text(x)`` gives one uint8 row per value of ``x``; dropping the NUL
-bytes of the row leaves ``repr(float(value))``.  The table writer lines such
-rows up with its other columns and compresses the NULs out of a whole block
-of lines at once, so no value passes through a Python object.
+``float_text(x)`` gives one 32-byte uint8 row per value of ``x``; dropping
+the NUL bytes of the row leaves ``repr(float(value))``.  ``float_words``
+writes the same rows, as four uint64 words each, into the rows of a caller's
+array.  The table writer lines them up with its other columns that way and
+compresses the NULs out of a whole block of lines at once, so no value
+passes through a Python object.
 
 Digits.  ``repr`` prints the shortest decimal that reads back as the same
 double, and of those the closest, ties to the even one.  The Schubfach
@@ -12,35 +14,50 @@ that decimal with fixed-width integers: one 126-bit power of ten g from a
 table built once from Python ints, and for the value and the two ends of its
 rounding interval one product g * c rounded to odd, on 32-bit limbs in
 uint64.  The candidates are the decimals one digit shorter than the
-interval's width allows, and then the two next to the value.
+interval's width allows, and then the two next to the value.  The zeros a
+shorter decimal ends in stay in its digits; the text leaves them out.
+
+The seventeen digits, left-aligned, are the first digit and two halves of
+eight, and each half becomes eight digit bytes of one word in three rounds
+of lane-wise division by multiply and shift: two 4-digit lanes of 32 bits,
+four 2-digit lanes of 16 bits, eight digits of 8 bits.  The last nonzero
+digit byte gives the number of significant digits.
 
 Layout.  ``repr`` is positional for 1e-4 <= |x| < 1e16, with ".0" on an
 integer, and otherwise d.ddde±XX with at least two exponent digits; zeros,
-NaN and infinities are "0.0", "-0.0", "nan", "inf" and "-inf".  Each row has
-fixed slots: a prefix (sign, and "0." plus zeros below 1), seventeen pairs
-of a digit and an optional point, and a suffix (the ".0" zero, or the
-exponent).  A slot that a value does not use holds NUL.
+NaN and infinities are "0.0", "-0.0", "nan", "inf" and "-inf".  With
+|x| = 0.d1d2... 10^p, the row is four little-endian words of fixed slots:
+word 0 the sign and, for p <= 0, "0." and -p zeros; then eighteen slots with
+the digits and the point, which goes after digit p (or after the first
+digit in the exponent form), so that the digits after it move one slot on;
+then the exponent; and one last byte that the caller may set (the table
+writer's comma or newline).  An integer's ".0" is the point and the zero
+digit after it.  A slot that a value does not use holds NUL.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["float_text"]
+__all__ = ["float_text", "float_words"]
 
-#: Bytes per row of ``float_text``: a 6-byte prefix, 17 digit/point pairs
-#: and a 6-byte suffix.
-_WIDTH = 46
+#: Bytes per row of ``float_text``: four uint64 words.
+_WIDTH = 32
 
-#: Values formatted per pass: the fastest of 1024..16384 on a 2-vCPU VM
-#: (8192 is ~1.4x slower).  A pass's temporaries, mostly (3, 4096) uint64
-#: arrays of 96 KiB, stay in the heap and add ~1 MiB to a process's peak
-#: RSS; at 2048 they add none, but a 2I = 25 Husimi table writes ~17% slower.
+#: Values formatted per pass.  A pass costs ~120 us of numpy call overhead
+#: at any size (timed on 16 values).  On a 2-vCPU VM the 65 341 values of a
+#: 2I = 25 Husimi grid take ~10 ms at 4096 a pass, ~12 ms at 2048 and
+#: ~9.4 ms at 8192, but a pass's temporaries (a traced peak of ~1.4 MB at
+#: 4096, mostly (3, n) and (2, 3, n) uint64 arrays) grow with it.  A table
+#: writer's block of 11 x 361 Husimi lines is one pass.
 _BLOCK = 4096
 
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k of the double's range
+_P_MIN, _P_MAX = -323, 309  # p of 5e-324 .. 1.7976931348623157e308
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK63 = np.uint64((1 << 63) - 1)
+_LAST_FINITE = np.uint64(0x7FEFFFFFFFFFFFFF)  # the bits of the largest double
+_ONE = np.uint64(0x3FF0000000000000)  # 1.0, formatted in place of a special
 
 
 def _flog10_pow2(e):
@@ -59,8 +76,8 @@ def _flog2_pow10(e):
 
 
 def _pow10_table() -> np.ndarray:
-    """Entry k - _K_MIN: g = floor(10^-k 2^(125 - flog2(10^-k))) + 1, a 126-bit
-    integer, as its high and its low 63 bits (two uint64 arrays)."""
+    """Column k - _K_MIN: g = floor(10^-k 2^(125 - flog2(10^-k))) + 1, a
+    126-bit integer, as its high and its low 63 bits (a (2, n) uint64 array)."""
     rows = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 125 - _flog2_pow10(-k)
@@ -73,125 +90,176 @@ def _pow10_table() -> np.ndarray:
     return np.array(rows, dtype=np.uint64).T.copy()
 
 
-def _texts(strings, width: int) -> np.ndarray:
-    """NUL-padded uint8 rows of ASCII strings."""
-    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+def _words(strings, at: int = 0) -> np.ndarray:
+    """One uint64 per ASCII string of at most 8 - ``at`` bytes, the string
+    starting at byte ``at`` (little-endian) and NUL elsewhere."""
+    return np.array(["\0" * at + s for s in strings], dtype="S8").view("<u8")
 
 
-_G1, _G0 = _pow10_table()
+def _slot_masks() -> np.ndarray:
+    """(9, 22 * 18) words, column (clip(p, -4, 17) + 4) * 18 + m for m
+    significant digits: the masks of the 18 slots (3 words each) that keep a
+    digit from the digit string, keep one from the string shifted a slot on,
+    and the point."""
+    pc, m = np.divmod(np.arange(22 * 18), 18)
+    pc -= 4
+    positional = (pc >= -3) & (pc <= 16)
+    # no point in the slots below 1 (the prefix has it); 18 = no slot
+    point = np.where(positional, np.where(pc > 0, pc, 18), 1)
+    shown = np.where(positional, np.where(pc > 0, np.maximum(m, pc + 1) + 1, m), m + (m > 1))
+    slot = np.arange(24)  # 18 slots and 6 bytes of the last word's other uses
+    keep_s = slot < np.minimum(point, shown)[:, None]
+    keep_t = (slot > point[:, None]) & (slot < shown[:, None])
+    dot = (slot == point[:, None]) & (slot < shown[:, None])
+    masks = np.concatenate([keep_s * 0xFF, keep_t * 0xFF, dot * ord(".")], axis=1)
+    return masks.astype(np.uint8).view("<u8").T.copy()
+
+
+_G = _pow10_table()
 _POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
-_COLUMNS = np.arange(17, dtype=np.int8)
-_PREFIX = _texts([s + z for s in ("", "-") for z in ("", "0.", "0.0", "0.00", "0.000")], 6)
-# row e + 324 for the exponents e of 5e-324 .. 1.8e308, then the zero of a
-# positional integer's ".0" and the empty suffix
-_SUFFIX = _texts([f"e{e:+03d}" for e in range(-324, 309)] + ["0", ""], 6)
-_ZERO_SUFFIX, _NO_SUFFIX = 633, 634
-_SPECIAL = _texts(["0.0", "-0.0", "nan", "inf", "-inf"], _WIDTH)
+_MASKS = _slot_masks()
+_P = range(_P_MIN, _P_MAX + 1)
+# word 0 by p - _P_MIN: "0." and the zeros before the digits, after the sign
+_PREFIX = _words(["0." + "0" * -p if -3 <= p <= 0 else "" for p in _P], at=1)
+# the last word by p - _P_MIN: the exponent, after slots 16 and 17
+_SUFFIX = _words(["" if -3 <= p <= 16 else f"e{p - 1:+03d}" for p in _P], at=2)
+_SPECIAL = _words(["0.0", "-0.0", "nan", "inf", "-inf"])
+_ENDS = np.array([[-2], [0], [2]]).astype(np.uint64)  # -2 wraps round
+_ASCII_ZEROS = _words(["0" * 8, "0" * 8, "00"])[:, None]  # on the 17 digit slots
+_NONZERO_TEST = int.from_bytes(b"\x7f" * 8, "little")
+_HIGH_BITS = int.from_bytes(b"\x80" * 8, "little")
 
 
-def _round_to_odd(g1, g0, cp):
-    """floor(g cp / 2^127) for g = g1 2^63 + g0 (g1, g0 < 2^63; cp < 2^60),
-    its last bit set when the quotient is inexact.
+def _round_to_odd(g, cp):
+    """floor(g cp / 2^127) for g = g1 2^63 + g0 (g1, g0 < 2^63: g is their
+    (2, n) stack) and cp < 2^60 of shape (3, n), its last bit set when the
+    quotient is inexact.
 
     64 x 64-bit products are taken on 32-bit limbs.  With cp < 2^60 the three
     terms below the high one sum to less than 2^64, so no carry is lost."""
     cp0, cp1 = cp & _MASK32, cp >> 32
-
-    def high(g):  # the high 64 bits of g cp, for g < 2^63
-        g0_, g1_ = g & _MASK32, g >> 32
-        return g1_ * cp1 + ((((g0_ * cp0) >> 32) + g0_ * cp1 + g1_ * cp0) >> 32)
-
+    lo, hi = (g & _MASK32)[:, None], (g >> 32)[:, None]
+    high = lo * cp0  # the high 64 bits of g1 cp and g0 cp, for g1, g0 < 2^63
+    high >>= 32
+    high += lo * cp1
+    high += hi * cp0
+    high >>= 32
+    high += hi * cp1
     # g cp / 2^64 = g1 cp / 2 + g0 cp / 2^64; z is its part below 2^63 (with
     # what carries out of it), truncated as in Giulietti's reference code
-    z = ((g1 * cp) >> 1) + high(g0)
-    return (high(g1) + (z >> 63)) | ((z & _MASK63) != 0)
+    z = (g[0] * cp >> 1) + high[1]
+    return (high[0] + (z >> 63)) | ((z & _MASK63) != 0)
 
 
-def _shortest(x: np.ndarray) -> tuple:
-    """(f, k) with f 10^k the decimal ``repr`` prints for each positive,
-    finite x; f has no trailing zeros."""
-    bits = x.view(np.uint64)
-    t = bits & np.uint64((1 << 52) - 1)
-    biased = (bits >> 52).astype(np.int64)
-    c = np.where(biased > 0, t | np.uint64(1 << 52), t)
-    q = np.maximum(biased, 1) - 1075
-    # a power of two has its lower neighbour at half the spacing
-    irregular = (t == 0) & (biased > 1)
-    k = np.where(irregular, _flog10_three_quarters_pow2(q), _flog10_pow2(q))
-    h = (q + _flog2_pow10(-k) + 2).astype(np.uint64)
-    cb = c << 2
+def _shortest(mag: np.ndarray) -> tuple:
+    """(f, k, normal) with f 10^k the decimal ``repr`` prints for each
+    positive finite double of bits mag; f keeps the zeros it ends in, and of
+    a normal double it has 16 or 17 digits."""
+    biased = mag >> 52
+    normal = biased.min() > 0
+    b1 = np.maximum(biased, 1)
+    c = mag - ((b1 - 1) << 52)  # the significand, with a normal's hidden bit
+    q = b1.view(np.int64) - 1075  # mag = c 2^q
+    k = _flog10_pow2(q)
     # the low end, the value and the high end of the rounding interval, times 4
-    cp = np.stack([cb - 2 + irregular, cb, cb + 2]) << h
-    row = np.broadcast_to(k - _K_MIN, cp.shape)
-    vbl, vb, vbr = _round_to_odd(_G1[row], _G0[row], cp)
+    cp = (c << 2) + _ENDS
+    # a power of two has its lower neighbour at half the spacing
+    irregular = (c == 1 << 52) & (biased > 1)
+    if irregular.any():
+        k[irregular] = _flog10_three_quarters_pow2(q[irregular])
+        cp[0] += irregular
+    cp <<= (q + _flog2_pow10(-k) + 2).view(np.uint64)
+    vbl, vb, vbr = _round_to_odd(np.take(_G, k - _K_MIN, axis=1), cp)
     # an odd c rounds to a neighbour at the interval's ends, so they are out
     odd = c & 1
     lower, upper = vbl + odd, vbr - odd
     s = vb >> 2
+    s4, sp = s << 2, s // 10 * 10
     # one digit shorter: at most one multiple of 10^(k+1) is in the interval
-    sp = s // 10 * 10
-    up_in = lower <= sp << 2
-    wp_in = (sp + 10) << 2 <= upper
-    shorter = (s >= 10) & (up_in != wp_in)
+    sp4 = sp << 2
+    up_in = lower <= sp4
+    wp_in = sp4 + 40 <= upper
+    shorter = up_in != wp_in
+    if not normal:  # a normal double's s has 16 or 17 digits
+        shorter &= s >= 10
     # else the closer of s and s + 1 that is in the interval, ties to even
-    u_in = lower <= s << 2
-    w_in = (s + 1) << 2 <= upper
-    mid = (s << 2) + 2
-    up = np.where(u_in != w_in, w_in, (vb > mid) | ((vb == mid) & ((s & 1) == 1)))
-    f = np.where(shorter, sp + 10 * wp_in.astype(np.uint64), s + up)
-    # strip the trailing zeros (at most 16: f < 10^17), 16, 8, 4, 2, 1 at a time
-    for n in (16, 8, 4, 2, 1):
-        p = _POW10[n]
-        f_div = f // p
-        exact = f_div * p == f
-        f = np.where(exact, f_div, f)
-        k = k + n * exact
-    return f, k
+    u_in = lower <= s4
+    w_in = s4 + 4 <= upper
+    closer = vb + (s & 1) > s4 + 2  # past the midpoint, or at it with s odd
+    up = np.where(u_in == w_in, closer, w_in)
+    f = np.where(shorter, sp + np.uint64(10) * wp_in, s + up)
+    return f, k, normal
 
 
-def _format_block(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the rows of ``float_text`` for one block of x into out."""
-    regular = np.isfinite(x) & (x != 0)
-    f, k = _shortest(np.abs(np.where(regular, x, 1.0)))
-    m = np.searchsorted(_POW10, f, side="right")  # significant digits
-    p = k + m  # |x| = 0.d1d2...dm 10^p
-    positional = (p >= -3) & (p <= 16)
-    # the m digits, left-aligned in 17, as the uint32 halves of 9 and 8 digits
-    digits = np.empty((len(x), 17), dtype=np.uint16)
-    s17 = f * _POW10[17 - m]
-    high = (s17 // 10 ** 9).astype(np.uint32)
-    low = (s17 - high * np.uint64(10 ** 9)).astype(np.uint32)
-    for half, columns in ((low, range(16, 7, -1)), (high, range(7, -1, -1))):
-        for j in columns:
-            q = half // 10
-            digits[:, j] = half - q * 10
-            half = q
-    p8 = np.clip(p, -4, 17).astype(np.int8)
-    m8 = m.astype(np.int8)
-    # positional: the digits and any zeros up to the point; else the mantissa
-    n_digits = np.where(positional, np.maximum(p8, m8), m8)
-    point = np.where(positional, p8 - 1, np.where(m8 > 1, 0, -1)).astype(np.int8)
-    digits += ord("0")
-    digits *= _COLUMNS < n_digits[:, None]
-    digits |= (_COLUMNS == point[:, None]) * np.uint16(ord(".") << 8)
-    out[:, 6:40].view("<u2")[...] = digits
-    lead = np.where(positional & (p8 <= 0), 1 - p8, 0)
-    out[:, :6] = np.take(_PREFIX, lead + 5 * np.signbit(x), axis=0)
-    # the exponent form's exponent is p - 1
-    suffix = np.where(positional, np.where(p8 >= m8, _ZERO_SUFFIX, _NO_SUFFIX), p + 323)
-    out[:, 40:] = np.take(_SUFFIX, suffix, axis=0)
-    special = ~regular
-    if special.any():
+def _digit_bytes(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10^8, one per byte, the first in
+    the lowest byte."""
+    hi = v // 10_000
+    v = hi | (v - hi * 10_000) << 32  # two 4-digit lanes
+    hi = (v * 10_486 >> 20) & 0x7F_0000_007F  # each lane // 100
+    v = hi | (v - hi * 100) << 16  # four 2-digit lanes
+    hi = (v * 103 >> 10) & 0x000F_000F_000F_000F  # each lane // 10
+    return hi | (v - hi * 10) << 8
+
+
+def _format_block(x: np.ndarray, out: np.ndarray, sep: int) -> None:
+    """Write the words of ``float_words`` for one block of x into out."""
+    bits = x.view(np.uint64)
+    mag = bits & _MASK63
+    special = mag - 1 >= _LAST_FINITE  # zeros, infinities and NaN
+    any_special = special.any()
+    if any_special:
+        mag = np.where(special, _ONE, mag)
+    f, k, normal = _shortest(mag)
+    # |x| = 0.d1d2...dn 10^p with n digits of f, left-aligned in 17
+    n = 16 + (f >= _POW10[16]) if normal else np.searchsorted(_POW10, f, side="right")
+    f = f * _POW10[17 - n]
+    p = k + n
+    first = f // 10**16
+    rest = f - first * 10**16
+    halves = rest // 10**8
+    halves = _digit_bytes(np.stack([halves, rest - halves * 10**8]))
+    # 128 + the index of the last nonzero byte of each half, or 0
+    last = ((halves + _NONZERO_TEST) & _HIGH_BITS).astype(np.float64).view(np.int64) >> 55
+    m = np.maximum(np.maximum(last[1] - 118, last[0] - 126), 1)  # significant digits
+    # the digit string in the 18 slots, and the same shifted one slot on
+    digits = np.zeros((3, len(x)), dtype=np.uint64)
+    np.left_shift(halves, 8, out=digits[:2])
+    digits[0] |= first
+    digits[1:] |= halves >> 56
+    digits += _ASCII_ZEROS
+    shifted = digits << 8
+    shifted[1:] |= digits[:-1] >> 56
+    masks = np.take(_MASKS, (np.clip(p, -4, 17) + 4) * 18 + m, axis=1)
+    digits &= masks[:3]
+    shifted &= masks[3:6]
+    digits |= shifted
+    p -= _P_MIN
+    digits[2] |= np.take(_SUFFIX, p) | np.uint64(sep << 56)
+    out[:, 0] = np.take(_PREFIX, p) | (bits >> 63) * ord("-")
+    np.bitwise_or(digits, masks[6:], out=out[:, 1:].T)
+    if any_special:
         xs = x[special]
-        code = np.where(np.isnan(xs), 2, 3 * np.isinf(xs) + np.signbit(xs))
-        out[special] = np.take(_SPECIAL, code, axis=0)
+        rows = np.zeros((len(xs), 4), dtype=np.uint64)
+        rows[:, 0] = _SPECIAL[np.where(np.isnan(xs), 2, 3 * np.isinf(xs) + np.signbit(xs))]
+        rows[:, 3] = sep << 56
+        out[special] = rows
+
+
+def float_words(x, out: np.ndarray, sep: int = 0) -> None:
+    """Write into each row of out, an (n, 4) uint64 array, the four words
+    of the text of one value of x (flattened, n values): NUL-padded
+    ``repr(float(value))`` in its first 31 bytes and byte ``sep`` in its
+    last."""
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    for i in range(0, len(x), _BLOCK):
+        _format_block(x[i : i + _BLOCK], out[i : i + _BLOCK], sep)
 
 
 def float_text(x) -> np.ndarray:
     """(n, _WIDTH) uint8 rows, one per value of x (flattened): each row
     without its NUL bytes is ``repr(float(value))``."""
     x = np.ravel(np.asarray(x, dtype=np.float64))
-    out = np.empty((len(x), _WIDTH), dtype=np.uint8)
-    for i in range(0, len(x), _BLOCK):
-        _format_block(x[i : i + _BLOCK], out[i : i + _BLOCK])
-    return out
+    out = np.empty((len(x), _WIDTH // 8), dtype="<u8")
+    float_words(x, out)
+    return out.view(np.uint8)

@@ -22,7 +22,8 @@ __all__ = [
     "save_husimi",
 ]
 
-#: Lines of a table formatted and written at a time.
+#: Lines of a table formatted and written at a time, rounded down to whole
+#: cycles of its keys (11 x 361 = 3971 lines of a default Husimi grid).
 _BLOCK_ROWS = 4096
 
 #: Rounding allowance on a negative variance, relative to max(1, <O^2>).
@@ -211,12 +212,18 @@ def _write_table(path, header, values, keys=(), outer=()) -> None:
     written as Python's shortest round-trip ``repr``, so the table reads back
     to the same float64 values.
 
-    The text is built as uint8 rows, ``_BLOCK_ROWS`` lines at a time: one
-    NUL-padded row per cell from :func:`_floattext.float_text`, commas and a
-    newline between them, and the NULs deleted from the block's bytes.  Only
-    ``keys`` and ``outer`` are formatted once for the whole table, so its
-    temporaries are those of a fixed number of lines plus the text of those
-    two sequences (~1.9 MB for a 181 x 361 Husimi grid, as for one block).
+    The text is built in one block of NUL-padded lines of uint64 words,
+    reused for every run of lines, and written with its NULs deleted.  A
+    block holds a whole number of ``keys`` cycles, as many as fit in
+    ``_BLOCK_ROWS`` lines (at least one), so the ``keys`` cells and the
+    commas after them are laid out once per table; each block then takes its
+    ``outer`` cells and the value cells, 32 bytes each with the comma or
+    newline in the last, from :func:`_floattext.float_words`.  A 181 x 361
+    Husimi grid is 17 blocks of up to 11 x 361 lines of 80 bytes, of which
+    ~58 are text.  Only ``keys`` and ``outer`` are formatted once for the
+    whole table, so its temporaries are those of one block plus the text of
+    those two sequences (a traced peak of ~1.6 MB for that grid, as for one
+    block).
     """
     values = np.asarray(values, dtype=float)
     keys = np.asarray(keys)
@@ -224,21 +231,33 @@ def _write_table(path, header, values, keys=(), outer=()) -> None:
         key_text = keys.astype("S").view(np.uint8).reshape(len(keys), -1)
     else:
         key_text = _left_justify(_floattext.float_text(keys))
-    lead_text = _left_justify(_floattext.float_text(outer))
+    outer_text = _left_justify(_floattext.float_text(outer))
+    cycle = max(len(keys), 1)
+    cycles = max(min(_BLOCK_ROWS // cycle, -(-len(values) // cycle)), 1)
+    # the outer cell, a comma, the key cell and a comma, if there are any
+    outer_end = len(outer_text) and outer_text.shape[1] + 1
+    key_end = outer_end + (len(key_text) and key_text.shape[1] + 1)
+    first = -(-key_end // 8)  # the word of the first value cell
+    block = np.zeros((cycles * cycle, first + 4 * values.shape[1]), dtype="<u8")
+    lines = block.view(np.uint8).reshape(cycles, cycle, -1)
+    if outer_end:
+        lines[:, :, outer_end - 1] = ord(",")
+    if key_end > outer_end:
+        lines[:, :, outer_end : key_end - 1] = key_text
+        lines[:, :, key_end - 1] = ord(",")
+    seps = [ord(",")] * (values.shape[1] - 1) + [ord("\n")]
     with open(path, "wb") as fh:
         fh.write("".join(f"# {line}\n" for line in header).encode())
-        for start in range(0, len(values), _BLOCK_ROWS):
-            rows = np.arange(start, min(start + _BLOCK_ROWS, len(values)))
-            comma = np.full((len(rows), 1), ord(","), dtype=np.uint8)
-            cells = []
-            if len(lead_text):
-                cells += [np.take(lead_text, rows // len(keys), axis=0), comma]
-            if len(key_text):
-                cells += [np.take(key_text, rows % len(keys), axis=0), comma]
-            for column in values[rows].T:
-                cells += [_floattext.float_text(column), comma]
-            cells[-1] = np.full((len(rows), 1), ord("\n"), dtype=np.uint8)
-            fh.write(np.concatenate(cells, axis=1).tobytes().translate(None, b"\0"))
+        for start in range(0, len(values), len(block)):
+            n = min(len(block), len(values) - start)
+            if len(outer_text):
+                outer_at = start // cycle
+                count = -(-n // cycle)
+                lines[:count, :, : outer_text.shape[1]] = outer_text[outer_at : outer_at + count, None]
+            for j, sep in enumerate(seps):
+                cells = block[:n, first + 4 * j : first + 4 * j + 4]
+                _floattext.float_words(values[start : start + n, j], cells, sep)
+            fh.write(bytearray(block[:n]).translate(None, b"\0"))
 
 
 def save_size_series(series: SizeSeries, path, header_extra: str = "") -> None:

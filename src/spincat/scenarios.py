@@ -608,18 +608,20 @@ def tact_oat_comparison(
 
     Pure twisting with eta = 1 and no field squeezes but never forms a cat;
     adding a dominant Zeeman term converts the dynamics to one-axis twisting
-    and the cat reappears.  With ``include_corner`` the no-field corner case
-    (eta = 0, mu = pi/2) is added, measured along z.  N_eff is evaluated in
-    the frame co-rotating at gamma*B0; params: ``t_max`` (default one full
-    nonlinear window 2 pi / omega_q), ``n_steps``, ``n_output``,
-    ``operator``.  H is constant and propagated exactly, so the step only
-    sets where samples fall: ``LAB_FRAME_DT`` with a field, which resolves
-    the Larmor precession, else ``t_max / n_steps`` (default 20000 steps).
+    and the cat reappears.  By default eta is 0 and 1 and gamma*B0 is 0 and
+    the configured field, once if that is 0.  With ``include_corner`` the
+    no-field corner case (eta = 0, mu = pi/2) is added, measured along z.
+    N_eff is evaluated in the frame co-rotating at gamma*B0; params:
+    ``t_max`` (default one full nonlinear window 2 pi / omega_q),
+    ``n_steps``, ``n_output``, ``operator``.  H is constant and propagated
+    exactly, so the step only sets where samples fall: ``LAB_FRAME_DT`` with
+    a field, which resolves the Larmor precession, else ``t_max / n_steps``
+    (default 20000 steps).
     """
     if eta_list is None:
         eta_list = [0.0, 1.0]
     if b0_list is None:
-        b0_list = [0.0, cfg.fields.gamma_b0]
+        b0_list = [0.0] if cfg.fields.gamma_b0 == 0 else [0.0, cfg.fields.gamma_b0]
     tag = _operator_tag(cfg)
     cases = [
         (eta, b0, cfg.quad.euler, tag)
@@ -724,11 +726,20 @@ def multitone_lab_validation(cfg: ScenarioConfig, scale: float, dt: float) -> La
     )
 
 
+#: Environment variables that set the BLAS thread count; a manifest records
+#: each (null when unset), since a second thread on these small matrices
+#: can make a run several times slower.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(out_dir, scenario: str, cfg: ScenarioConfig, wall_time_s: float, extras=None):
-    """Drop a replayable run manifest (config echo, tool version, wall time)."""
+    """Drop a replayable run manifest (config echo, tool and numpy versions,
+    BLAS thread settings, wall time)."""
     doc = {
         "tool": "spincat",
         "version": __version__,
+        "numpy_version": np.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "scenario": scenario,
         "config": config_to_dict(cfg),
         "wall_time_s": wall_time_s,

@@ -317,6 +317,35 @@ def test_tact_without_quadrupole_needs_t_max(tmp_path, capsys):
     assert main(["tact", "--config", str(path), "--eta", "0", "--b0-hz", "0"]) == 0
 
 
+def test_tact_without_a_field_runs_each_case_once(tmp_path, capsys, monkeypatch):
+    # the default fields are 0 and gamma_b0_hz; with gamma_b0_hz 0 those are
+    # one field, so each eta is one case, one line and one pair of tables
+    import spincat.cli
+
+    written = []
+
+    def recording(writer):
+        def write(table, path, *args, **kwargs):
+            written.append(os.path.basename(path))
+            writer(table, path, *args, **kwargs)
+
+        return write
+
+    for name in ("save_size_series", "save_husimi"):
+        monkeypatch.setattr(spincat.cli, name, recording(getattr(spincat.cli, name)))
+    path = tmp_path / "no_field.json"
+    path.write_text(json.dumps(
+        {"fields": {"gamma_b0_hz": 0}, "params": {"t_max": 1e-7, "n_steps": 10}}
+    ))
+    out = tmp_path / "d"
+    assert main(["tact", "--config", str(path), "--out", str(out)]) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == ["tact eta0_b00Hz", "tact eta1_b00Hz"]
+    tables = [f"tact_eta{eta}_b00Hz{kind}.csv" for eta in (0, 1) for kind in ("", "_husimi")]
+    assert sorted(written) == tables
+    assert sorted(os.listdir(out)) == sorted(tables + ["tact_manifest.json"])
+
+
 def test_tact_measures_a_revived_eigenstate_along_x(tmp_path, capsys):
     # Ix at 2I = 7: at the full revival the state is back to the Ix
     # eigenstate, <Ix^2> = 12.25 and Var Ix is a cancellation of two such

@@ -484,12 +484,19 @@ def _writer_cases():
     # down to 2.3e-103 next to the south pole and 0.0 on it
     spin = SpinQuantum(25)
     full_grid = husimi_q(eigenstate(spin, spin.i), spin)
+    # blocks hold whole phi cycles: one cycle longer than a block, and a last
+    # block of 1 cycle after one of 11
+    cat = coherent_state(spin, 1.1, 0.4)
+    long_cycle = husimi_q(cat, spin, n_theta=3, n_phi=4099)
+    partial = husimi_q(cat, spin, n_theta=12, n_phi=361)
     rows = coherence_scaling(paper_config(), list(range(1, 26)))
     return {
         "size series": (save_size_series, _row_by_row_size_series, series),
         "size series, non-finite": (save_size_series, _row_by_row_size_series, odd_series),
         "husimi": (save_husimi, _row_by_row_husimi, grid),
         "husimi, 2I=25 default grid": (save_husimi, _row_by_row_husimi, full_grid),
+        "husimi, phi cycle longer than a block": (save_husimi, _row_by_row_husimi, long_cycle),
+        "husimi, partial last block": (save_husimi, _row_by_row_husimi, partial),
         "coherence": (_coherence_table, _row_by_row_coherence, rows),
     }
 
@@ -501,6 +508,10 @@ def test_writer_cases_reach_the_edges_of_the_format():
     assert repr(float(q[q > 0].min())).endswith("e-103")
     assert np.any(q == 0)
     assert len(cases["size series, non-finite"][2].times) > _BLOCK_ROWS
+    assert len(cases["husimi, phi cycle longer than a block"][2].phis) > _BLOCK_ROWS
+    partial = cases["husimi, partial last block"][2]
+    cycles_per_block = _BLOCK_ROWS // len(partial.phis)
+    assert cycles_per_block < len(partial.thetas) and len(partial.thetas) % cycles_per_block
 
 
 @pytest.mark.parametrize("header_extra", ["", "gamma_m_per_s: 10.0, gamma_e_per_s: 0.1"])
@@ -526,7 +537,7 @@ def test_table_writer_memory_is_that_of_one_block_of_lines(tmp_path):
         finally:
             tracemalloc.stop()
     assert 11 * 361 <= _BLOCK_ROWS < 181 * 361
-    # measured 1.86 and 1.93 MB: the 16 blocks cost what one does
+    # measured 1.56 and 1.58 MB: the 17 blocks cost what one does
     assert peaks[1] < 1.25 * peaks[0]
     # and less than the bytes of the full grid's text (3.8 MB)
     assert peaks[1] < (tmp_path / "q.csv").stat().st_size / 1.5

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spincat._floattext import float_text
+from spincat._floattext import _BLOCK, float_text
 from spincat.control import wrap_phase
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import effective_sizes
@@ -173,6 +173,18 @@ def test_float_text_is_repr_at_the_edges_of_the_format():
         edges += [np.nextafter(switch, 0.0), switch, np.nextafter(switch, np.inf)]
     edges += [9.999999999999999e22, 1e23, np.nan, np.inf]
     x = np.array(edges + [-e for e in edges])
+    assert _lines(x) == [repr(v) for v in x.tolist()]
+
+
+def test_float_text_is_repr_of_short_long_and_special_values_in_one_block():
+    # values whose shortest digits end in zeros, among 17-digit values and
+    # specials, all in one block of the kernel
+    rng = np.random.default_rng(18)
+    short = [0.5, 1e22, 1.25e-7, 123456789012345680.0, 100.0, 1e16, 2e-5]
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf]
+    x = rng.uniform(-1, 1, _BLOCK) * 10.0 ** rng.integers(-30, 30, _BLOCK)
+    x[rng.choice(x.size, 600, replace=False)] = rng.choice(short + special, 600)
+    assert x.size == _BLOCK
     assert _lines(x) == [repr(v) for v in x.tolist()]
 
 

@@ -508,6 +508,19 @@ def test_config_round_trip_and_manifest(tmp_path):
     assert manifest["wall_time_s"] == 1.25
 
 
+def test_manifest_records_numpy_and_the_blas_thread_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    path = write_manifest(tmp_path, "demo", paper_config(), 0.5)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    assert manifest["numpy_version"] == np.__version__
+    threads = manifest["blas_threads"]
+    assert list(threads) == ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "1"
+    assert threads["MKL_NUM_THREADS"] is None
+
+
 def test_scenarios_are_deterministic():
     cfg = paper_config()
     a = oat_free_evolution(cfg)
