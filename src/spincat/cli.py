@@ -5,6 +5,7 @@ frequencies internally); decoherence rates are 1/s."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -228,7 +229,11 @@ def _cmd_lab_check(cfg, args, out) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spincat`` parser, built once per process.  Parsing leaves it
+    unchanged, so each :func:`main` call gets a fresh namespace of defaults,
+    and the subcommand functions look up their writers when they run."""
     parser = argparse.ArgumentParser(
         prog="spincat",
         description="Spin-qudit cat-state dynamics scenarios",

@@ -90,14 +90,26 @@ def _checked_observable(op) -> np.ndarray:
     return op
 
 
-def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
-    """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
-    density matrices, for an observable from :func:`_checked_observable`.
+def _variance(e, e2) -> np.ndarray:
+    """Var O = <O^2> - <O>^2 from the moments ``e`` = <O> and ``e2`` = <O^2>.
 
-    Var O = <O^2> - <O>^2 cancels two numbers of size <O^2>, so it is
-    clamped to zero within -1e-12 max(1, <O^2>) to absorb rounding; a more
+    The difference cancels two numbers of size <O^2>, so it is clamped to
+    zero within -``VARIANCE_RTOL`` max(1, <O^2>) to absorb rounding; a more
     negative value indicates an inconsistent input (an unnormalized state,
     for one) and raises.
+    """
+    e, e2 = np.asarray(e), np.asarray(e2)
+    var = e2 - e * e
+    bad = var < -VARIANCE_RTOL * np.maximum(1.0, e2)
+    if bad.any():
+        raise ValueError(f"variance {var[bad][0]} is negative beyond rounding tolerance")
+    return np.maximum(var, 0.0)
+
+
+def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
+    """(<O>, Var O) for each state of a stack: (n, d) pure states or (n, d, d)
+    density matrices, for an observable from :func:`_checked_observable`,
+    with the variance clamped by :func:`_variance`.
     """
     states = np.asarray(states)
     d = op.shape[0]
@@ -110,11 +122,7 @@ def _moments(states: np.ndarray, op: np.ndarray) -> tuple:
     else:
         e = np.einsum("nij,ji->n", states, op).real
         e2 = np.einsum("nij,ji->n", states, op @ op).real
-    var = e2 - e * e
-    bad = var < -VARIANCE_RTOL * np.maximum(1.0, e2)
-    if bad.any():
-        raise ValueError(f"variance {var[bad][0]} is negative beyond rounding tolerance")
-    return e, np.maximum(var, 0.0)
+    return e, _variance(e, e2)
 
 
 def effective_size(state: np.ndarray, op: np.ndarray, spin: SpinQuantum) -> float:

@@ -57,6 +57,7 @@ from .observables import (
     SizeSeries,
     _checked_observable,
     _effective_sizes,
+    _variance,
     cat_coherence,
     effective_sizes,
     husimi_q,
@@ -296,14 +297,21 @@ def _twisted(psi: np.ndarray, omega: float, t, spin: SpinQuantum) -> np.ndarray:
     return np.exp(-1j * np.multiply.outer(np.multiply(t, omega), spin.m_values ** 2)) * psi
 
 
+def _dephasing_generator(dec: DecoherenceSpec, nu, spin: SpinQuantum) -> np.ndarray:
+    """G with d rho_jk/dt = G_jk rho_jk under the Lindblad equation with the
+    diagonal Hamiltonian diag(nu) and the dephasing ``dec``:
+    G_jk = -R_jk / 2 - i (nu_j - nu_k), R the rates of
+    :meth:`DecoherenceSpec.rates`."""
+    return -0.5 * dec.rates(spin.m_values) - 1j * np.subtract.outer(nu, nu)
+
+
 def _dephased(rho: np.ndarray, dec: DecoherenceSpec, nu, t, spin: SpinQuantum) -> np.ndarray:
     """``rho`` after time ``t`` under the Lindblad equation with the diagonal
     Hamiltonian diag(nu) and the dephasing ``dec``, in closed form: both act
-    element by element, rho_jk exp(-(R_jk / 2 + i (nu_j - nu_k)) t) with the
-    rates R of :meth:`DecoherenceSpec.rates`.  An array of k times gives a
-    (k, d, d) stack of states."""
-    generator = -0.5 * dec.rates(spin.m_values) - 1j * np.subtract.outer(nu, nu)
-    return rho * np.exp(np.multiply.outer(t, generator))
+    element by element, rho_jk exp(G_jk t) with G from
+    :func:`_dephasing_generator`.  An array of k times gives a (k, d, d)
+    stack of states."""
+    return rho * np.exp(np.multiply.outer(t, _dephasing_generator(dec, nu, spin)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +387,20 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     gap T in ``t_values``, with the pulses of :func:`_pulse_pair`.
 
     |I,I> passes the first pulse under the Lindblad equation, propagated
-    exactly in one step.  Over the gap the jump operators dephase the state
-    in closed form, rho_jk(T) = rho_jk exp(-R_jk T / 2) with the rates R of
-    :meth:`DecoherenceSpec.rates`.  D commutes with Iz, so the measured state
-    is U2(0) D^dagger rho(T) D U2(0)^dagger, and D^dagger rho(T) D is
-    :func:`_dephased` with H = diag(nu).  The states are built for a chunk of
-    T values at a time, ``CHUNK_BYTES`` per stack."""
+    exactly in one step, to rho1.  Over the gap the jump operators dephase
+    the state in closed form, and D commutes with Iz, so the measured state
+    is U2(0) sigma(T) U2(0)^dagger with sigma(T) = D^dagger rho(T) D, the
+    state :func:`_dephased` gives with H = diag(nu):
+    sigma_jk(T) = rho1_jk exp(G_jk T), G from :func:`_dephasing_generator`.
+
+    The states are never built.  The sweep measures in the Heisenberg
+    picture: with A = U2(0)^dagger O U2(0) for O = Iz and Iz^2, once per
+    case, <O>(T) = sum_jk c_jk exp(G_jk T) with c = A^T o rho1.  G_jj = 0,
+    and the (k, j) term is the conjugate of the (j, k) one, so
+    <O>(T) = sum_j c_jj + 2 Re sum_{j<k} c_jk exp(G_jk T): d(d-1)/2
+    exponentials a gap, formed ``CHUNK_BYTES`` of (gaps x pairs) at a time,
+    and one (gaps x pairs) x (pairs x 2) product gives both moments.
+    """
     t_values = np.asarray(t_values, dtype=float)
     if t_values.size == 0 or not np.all(np.isfinite(t_values) & (t_values >= 0)):
         raise ValueError("need at least one gap time, each finite and >= 0")
@@ -394,14 +410,20 @@ def _cat_signal(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> SizeSe
     psi0 = eigenstate(spin, spin.i)
     rho0 = np.outer(psi0, psi0.conj())
     rho1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
-    u2_dag = u2.conj().T
     iz = _checked_observable(spin_operators(spin).Iz)
-    chunk = max(1, CHUNK_BYTES // rho1.nbytes)
-    vals = [
-        _effective_sizes(u2 @ _dephased(rho1, dec, nu, t, spin) @ u2_dag, iz, spin)
+    # c = A^T o rho1 for A = U2^dagger O U2, O = Iz and Iz^2 on the last axis
+    c = np.stack([(u2.conj().T @ op @ u2).T * rho1 for op in (iz, iz @ iz)], axis=-1)
+    upper = np.triu_indices(spin.dimension, 1)
+    pairs = 2 * c[upper]
+    generator = _dephasing_generator(dec, nu, spin)[upper]
+    constant = np.trace(c).real
+    chunk = max(1, CHUNK_BYTES // (16 * generator.size))
+    moments = np.concatenate([
+        constant + (np.exp(np.multiply.outer(t, generator)) @ pairs).real
         for t in np.split(t_values, range(chunk, t_values.size, chunk))
-    ]
-    return SizeSeries(times=t_values, values=np.concatenate(vals), operator_tag="Iz")
+    ])
+    values = 2.0 * _variance(moments[:, 0], moments[:, 1]) / spin.i
+    return SizeSeries(times=t_values, values=values, operator_tag="Iz")
 
 
 def _lab_hamiltonian(
@@ -526,7 +548,10 @@ def decoherence_sweep(
     the gap T the Hamiltonian is zero in the generalized rotating frame and
     the diagonal jump operators dephase the state in closed form; the second
     pulse follows the rotating phase rule of :func:`ramsey_cat_protocol` and
-    is the zero-gap pulse conjugated by a diagonal phase.  Params: ``t_max``
+    is the zero-gap pulse conjugated by a diagonal phase.  Each case
+    measures every gap in the Heisenberg picture (:func:`_cat_signal`):
+    <Iz> and <Iz^2> at gap T are sums of damped exponentials, so no state
+    after the gap is built.  Params: ``t_max``
     (default 40 ms), ``n_points`` (default 40001, i.e. 1 us sampling so
     revivals are resolved), ``phase_reference_omega`` (default gamma*B0).
     """

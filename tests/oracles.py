@@ -4,7 +4,8 @@ The oracles take ``scipy.linalg.expm`` as their exponential, so they stay
 independent of the package's own propagation paths: the dense dt/100
 unitary reference, the RK4 Lindblad reference and the rotation operator.
 The measurements are the off-resonant flip probability, which bounds what
-the rotating-wave model drops, and the revival peaks of a sampled series.
+the rotating-wave model drops, the revival peaks of a sampled series and
+the gap sweep measured on its states.
 """
 
 from __future__ import annotations
@@ -12,13 +13,23 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from spincat.dynamics import DecoherenceSpec, Drive, TimeGrid, _chunk_steps, _drive_terms
-from spincat.observables import SizeSeries
+from spincat.control import rotation_duration
+from spincat.dynamics import (
+    DecoherenceSpec,
+    Drive,
+    TimeGrid,
+    _chunk_steps,
+    _drive_terms,
+    evolve_lindblad,
+)
+from spincat.observables import SizeSeries, effective_sizes
+from spincat.scenarios import _dephased, _ladder, _pulse_pair
 from spincat.spin import (
     SpinQuantum,
     _frozen,
     check_density_matrix,
     check_pure_state,
+    eigenstate,
     spin_operators,
 )
 
@@ -113,3 +124,19 @@ def flip_probability_peak(gamma_b1: float, delta_omega: float) -> float:
     if omega_sq == 0.0:
         return 0.0
     return float(gamma_b1 ** 2 / omega_sq)
+
+
+def gap_sweep_on_states(cfg, dec: DecoherenceSpec, omega_ref: float, t_values) -> np.ndarray:
+    """N_eff(Iz) of the cat protocol for each gap in ``t_values``, measured
+    on the states: every gap's state U2 sigma(T) U2^dagger is built, with
+    sigma(T) from ``_dephased``, in one (k, d, d) stack, and measured by
+    ``effective_sizes``.  The reference for the sweep that measures in the
+    Heisenberg picture and never builds the states."""
+    spin = cfg.spin
+    t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
+    h1, u2, nu = _pulse_pair(cfg, _ladder(cfg), t_half, omega_ref)
+    psi0 = eigenstate(spin, spin.i)
+    rho0 = np.outer(psi0, psi0.conj())
+    rho1 = evolve_lindblad(h1, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
+    states = u2 @ _dephased(rho1, dec, nu, np.asarray(t_values, dtype=float), spin) @ u2.conj().T
+    return effective_sizes(states, spin_operators(spin).Iz, spin)

@@ -346,6 +346,24 @@ def test_tact_without_a_field_runs_each_case_once(tmp_path, capsys, monkeypatch)
     assert sorted(os.listdir(out)) == sorted(tables + ["tact_manifest.json"])
 
 
+def test_main_calls_share_one_parser_and_get_their_own_defaults(tmp_path, capsys):
+    # the parser is built once per process; a flag given to one call must
+    # not become the next call's default
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"params": {"t_max": 1e-4, "n_points": 11}}))
+    for argv, name in (
+        (["ramsey", "--phase-rule", "fixed"], "fixed"),
+        (["ramsey"], "rotating"),
+    ):
+        out = tmp_path / name
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"ramsey ({name}):")
+        assert sorted(os.listdir(out)) == ["ramsey_manifest.json", f"ramsey_neff_{name}.csv"]
+        extras = json.loads((out / "ramsey_manifest.json").read_text())["extras"]
+        assert extras == {"phase_rule": name}
+    assert build_parser() is build_parser()
+
+
 def test_tact_measures_a_revived_eigenstate_along_x(tmp_path, capsys):
     # Ix at 2I = 7: at the full revival the state is back to the Ix
     # eigenstate, <Ix^2> = 12.25 and Var Ix is a cancellation of two such

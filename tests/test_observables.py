@@ -14,9 +14,11 @@ from spincat.observables import (
     effective_size,
     effective_sizes,
     husimi_q,
+    VARIANCE_RTOL,
     _BLOCK_ROWS,
     _checked_observable,
     _moments,
+    _variance,
     _write_table,
     save_husimi,
     save_size_series,
@@ -73,6 +75,24 @@ def test_variance_clamp_scales_with_the_second_moment():
     assert effective_size(np.sqrt(1 + 2e-12) * up, iz, half) == 0.0
     with pytest.raises(ValueError, match="negative beyond rounding"):
         effective_size(np.sqrt(1 + 1e-11) * up, iz, half)
+
+
+@pytest.mark.parametrize("e", [2.0, 0.5])
+def test_variance_clamps_up_to_its_bound_and_raises_past_it(e):
+    # <O> = 2 and 0.5 square exactly, and <O^2> - <O>^2 subtracts exactly,
+    # so Var is -f * bound to within one rounding of <O^2>, on both sides of
+    # <O^2> = 1, where the bound VARIANCE_RTOL max(1, <O^2>) stops scaling
+    bound = VARIANCE_RTOL * max(1.0, e * e)
+    for f in (0.0, 0.5, 0.99):
+        assert _variance(e, e * e - f * bound) == 0.0
+    assert _variance(e, e * e + 3 * bound) == pytest.approx(3 * bound, rel=1e-3)
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        _variance(e, e * e - 1.01 * bound)
+    # a stack clamps each sample and raises on the first one past the bound
+    var = _variance(np.full(3, e), e * e - np.array([-1.0, 0.99, 0.0]) * bound)
+    assert var[0] == pytest.approx(bound, rel=1e-3) and np.array_equal(var[1:], [0.0, 0.0])
+    with pytest.raises(ValueError, match="negative beyond rounding"):
+        _variance(np.full(3, e), e * e - np.array([0.0, 1.01, 0.5]) * bound)
 
 
 def test_peak_time_takes_the_earliest_of_peaks_equal_to_rounding():

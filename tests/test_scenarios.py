@@ -53,7 +53,7 @@ from spincat.scenarios import (
 )
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
-from oracles import revival_peaks
+from oracles import gap_sweep_on_states, revival_peaks
 
 TWO_PI = 2 * np.pi
 
@@ -220,18 +220,61 @@ def test_decoherence_matches_dense_lindblad_gap():
     assert res.series.values[-1] < 0.9 * res.series.values.max()  # visibly dephased
 
 
+def _gap_chunk(spin) -> int:
+    """Gaps a sweep measures at a time: one complex exponential per gap and
+    pair j < k of levels, CHUNK_BYTES of them."""
+    d = spin.dimension
+    return CHUNK_BYTES // (16 * (d * (d - 1) // 2))
+
+
 def test_gap_sweep_chunks_match_per_sample_sweeps():
-    # 601 irregular gaps at d = 8: two full chunks of 256 and a partial one;
-    # a dropped or repeated gap at a chunk boundary shifts every later value
+    # irregular gaps at d = 8: two full chunks of 585 and a partial one of
+    # 101; a dropped or repeated gap at a chunk boundary shifts every later
+    # value
     cfg = paper_config()
-    chunk = CHUNK_BYTES // (16 * cfg.spin.dimension ** 2)
-    t_values = np.sort(np.random.default_rng(5).uniform(0.0, 30e-6, 601))
-    assert t_values.size > 2 * chunk and t_values.size % chunk
+    chunk = _gap_chunk(cfg.spin)
+    t_values = np.sort(np.random.default_rng(5).uniform(0.0, 30e-6, 2 * chunk + 101))
     omega_ref = cfg.fields.gamma_b0
     series = _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
     per_sample = [_cat_signal(cfg, DecoherenceSpec(), omega_ref, [t]).values[0] for t in t_values]
     assert np.array_equal(series.times, t_values)
     assert np.max(np.abs(series.values - per_sample)) <= 1e-12
+
+
+def test_gap_sweep_memory_stays_within_a_few_chunks():
+    # 20001 gaps at d = 8: the (gaps x pairs) exponentials alone would take
+    # 34 CHUNK_BYTES at once; a block of them, the moments and N_eff of
+    # every gap peak at 3.3 CHUNK_BYTES measured
+    cfg = paper_config()
+    t_values = np.linspace(0.0, 2e-3, 20001)
+    dec = DecoherenceSpec(gamma_m=10.0, gamma_e=0.1)
+    tracemalloc.start()
+    try:
+        _cat_signal(cfg, dec, cfg.fields.gamma_b0, t_values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * CHUNK_BYTES
+
+
+@pytest.mark.parametrize("twice_i", [3, 7, 25])
+def test_gap_sweep_matches_the_states_it_never_builds(twice_i):
+    # the Heisenberg-picture sweep against U2 sigma(T) U2^dagger built for
+    # every gap and measured, under both jump operators, over irregular gaps
+    # spanning two full chunks and a partial one; measured over ten gap
+    # draws: 1.8e-15, 2.7e-15 and 1.1e-14 at 2I = 3, 7 and 25
+    cfg = paper_config(twice_i=twice_i)
+    chunk = _gap_chunk(cfg.spin)
+    revival = np.pi / abs(effective_oat_strength(cfg.quad, cfg.spin))
+    rng = np.random.default_rng(twice_i)
+    t_values = np.sort(rng.uniform(0.0, 40 * revival, 2 * chunk + chunk // 3))
+    dec = DecoherenceSpec(gamma_m=1e3 / twice_i**2, gamma_e=10 / twice_i**2)
+    omega_ref = cfg.fields.gamma_b0
+    series = _cat_signal(cfg, dec, omega_ref, t_values)
+    want = gap_sweep_on_states(cfg, dec, omega_ref, t_values)
+    assert np.max(np.abs(series.values - want)) <= 3e-14
+    assert series.values.max() > 0.9 * twice_i  # the cat, then visibly dephased
+    assert series.values[-1] < 0.6 * twice_i
 
 
 def test_gap_rule_matches_lab_frame_protocol():
@@ -466,8 +509,9 @@ def test_tact_corotating_frame_removes_larmor_precession():
 
 
 def test_sweeps_check_their_observable_once_per_case(monkeypatch):
-    # tact and the decoherence sweep measure one constant observable a
-    # CHUNK_BYTES slice of states at a time, and check it once per case
+    # tact measures one constant observable a CHUNK_BYTES slice of states at
+    # a time, the decoherence sweep a CHUNK_BYTES block of gaps at a time,
+    # and each checks it once per case
     checks = []
     original = spincat.observables.is_hermitian
 
@@ -480,8 +524,8 @@ def test_sweeps_check_their_observable_once_per_case(monkeypatch):
     assert CHUNK_BYTES // (16 * cfg.spin.dimension) < 3001  # two slices a case
     tact_oat_comparison(cfg, eta_list=[0.0], b0_list=[0.0, cfg.fields.gamma_b0])
     assert len(checks) == 2
-    cfg = paper_config(params={"t_max": 1e-3, "n_points": 600})
-    assert CHUNK_BYTES // (16 * cfg.spin.dimension**2) < 600  # three slices a case
+    n_points = 2 * _gap_chunk(paper_config().spin) + 1  # three slices a case
+    cfg = paper_config(params={"t_max": 1e-3, "n_points": n_points})
     decoherence_sweep(cfg, gamma_m_list=[10.0, 20.0], gamma_e_list=[0.1])
     assert len(checks) == 4
     # a measurement of its own still checks its observable
