@@ -1,11 +1,10 @@
 """The text of float64 arrays, byte for byte as Python's ``repr``.
 
-``float_text(x)`` gives one 32-byte uint8 row per value of ``x``; dropping
-the NUL bytes of the row leaves ``repr(float(value))``.  ``float_words``
-writes the same rows, as four uint64 words each, into the rows of a caller's
-array.  The table writer lines them up with its other columns that way and
-compresses the NULs out of a whole block of lines at once, so no value
-passes through a Python object.
+``float_words(x, out)`` writes one 32-byte row, four uint64 words, per value
+of ``x`` into the rows of a caller's array; dropping the NUL bytes of the row
+leaves ``repr(float(value))``.  The table writer lines them up with its
+other columns that way and compresses the NULs out of a whole block of lines
+at once, so no value passes through a Python object.
 
 Digits.  ``repr`` prints the shortest decimal that reads back as the same
 double, and of those the closest, ties to the even one.  The Schubfach
@@ -39,10 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["float_text", "float_words"]
-
-#: Bytes per row of ``float_text``: four uint64 words.
-_WIDTH = 32
+__all__ = ["float_words"]
 
 #: Values formatted per pass.  A pass costs ~120 us of numpy call overhead
 #: at any size (timed on 16 values).  On a 2-vCPU VM the 65 341 values of a
@@ -255,11 +251,3 @@ def float_words(x, out: np.ndarray, sep: int = 0) -> None:
     for i in range(0, len(x), _BLOCK):
         _format_block(x[i : i + _BLOCK], out[i : i + _BLOCK], sep)
 
-
-def float_text(x) -> np.ndarray:
-    """(n, _WIDTH) uint8 rows, one per value of x (flattened): each row
-    without its NUL bytes is ``repr(float(value))``."""
-    x = np.ravel(np.asarray(x, dtype=np.float64))
-    out = np.empty((len(x), _WIDTH // 8), dtype="<u8")
-    float_words(x, out)
-    return out.view(np.uint8)

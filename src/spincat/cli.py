@@ -180,7 +180,7 @@ def _cmd_tact(cfg, args, out) -> None:
     )
     for res in results:
         label = f"eta{res.eta:g}_b0{res.gamma_b0 / _TWO_PI:g}Hz"
-        if res.euler != cfg.quad.euler:
+        if res.corner:
             label += "_corner"
         print(
             f"tact {label}: max N_eff({res.series.operator_tag}) = {res.series.peak:.4f} "

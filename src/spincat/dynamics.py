@@ -1,8 +1,8 @@
 """Evolvers for the Schroedinger and Lindblad equations.
 
 A constant generator (-iH, or the Lindblad Liouvillian) is propagated
-exactly from one stored sample to the next, one matrix exponential per
-distinct gap.  A time-dependent H is a :class:`Drive`,
+exactly from one stored sample to the next: the samples are equally spaced,
+so a run takes one matrix exponential.  A time-dependent H is a :class:`Drive`,
 H(t) = h0 + f(t) x with f the envelope of a multi-tone pulse, |f| <= 1,
 stepped by the midpoint rule exp(-i H(t_mid) dt).  The amplitudes c =
 f(t_mid) come from tone phasors, one small product per chunk of steps.
@@ -21,7 +21,6 @@ Lindblad evolver takes only a constant (d, d) matrix.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -90,10 +89,11 @@ class DecoherenceSpec:
 class TimeGrid:
     """Uniform integration grid on [t_start, t_end] with step ~dt.
 
-    The span is divided into an integer number of equal steps no longer than
-    ``dt``; the first, every ``output_stride``-th and the last state are
-    stored (the default ``None``: the first and last only).  Only a constant
-    generator takes a stride.
+    The span is divided into the fewest equal steps no longer than ``dt``
+    whose count is a multiple of ``output_stride``; the first and every
+    ``output_stride``-th state are stored (the default ``None``: the first
+    and last only), so the stored samples are equally spaced and the last
+    falls on ``t_end``.  Only a constant generator takes a stride.
     """
 
     t_start: float
@@ -119,7 +119,9 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(np.ceil(self.span / self.dt - 1e-9)))
+        stride = self.output_stride or 1
+        n = max(1, int(np.ceil(self.span / self.dt - 1e-9)))
+        return -(-n // stride) * stride
 
     @property
     def step(self) -> float:
@@ -129,7 +131,7 @@ class TimeGrid:
     def sample_steps(self) -> np.ndarray:
         """Step counts of the stored states, ascending from 0 to n_steps."""
         n = self.n_steps
-        return np.append(np.arange(0, n, self.output_stride or n), n)
+        return np.arange(0, n + 1, self.output_stride or n)
 
 
 @dataclass
@@ -274,32 +276,23 @@ def _run_map(u: np.ndarray) -> np.ndarray:
     return 1.5 * u - 0.5 * (u @ (u.conj().T @ u))
 
 
-def _sample_exact(g: np.ndarray, x0: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
-    """exp(G k dt) x0 for each step count k in ``steps`` (ascending, from
-    0), stacked along the first axis, with one ``scipy.linalg.expm`` per
-    distinct gap between entries.
+def _sample_exact(g: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """exp(g k) x0 for k = 0 ... n - 1, stacked along the first axis, where
+    ``g`` is the generator times the one gap between samples.
 
-    A run of r equal gaps with map U is filled by doubling: the run's known
-    states times U, then U^2, U^4, ..., one batched product each, so
-    ceil(log2(r + 1)) products instead of r.
+    One ``scipy.linalg.expm`` gives U = exp(g); the samples are filled by
+    doubling: the known states times U, then U^2, U^4, ..., one batched
+    product each, so ceil(log2 n) products instead of n - 1.
     """
-    gaps = np.diff(steps).tolist()
-    maps = {gap: scipy.linalg.expm(g * (gap * dt)) for gap in set(gaps)}
-    xs = np.empty((len(steps),) + x0.shape, dtype=complex)
+    xs = np.empty((n,) + x0.shape, dtype=complex)
     xs[0] = x0
-    start = 0
-    for gap, run in itertools.groupby(gaps):
-        end = start + len(list(run))  # the run fills xs[start + 1 : end + 1]
-        power, block = maps[gap].T, 1  # xs[k] @ power is xs[k + block]
-        done = start
-        while done < end:
-            k = min(block, end - done)
-            src = done + 1 - block
-            np.matmul(xs[src : src + k], power, out=xs[done + 1 : done + 1 + k])
-            done += k
-            if done < end:
-                power, block = power @ power, 2 * block
-        start = end
+    power, done = scipy.linalg.expm(g).T, 1  # xs[k] @ power is xs[k + done]
+    while done < n:
+        k = min(done, n - done)
+        np.matmul(xs[:k], power, out=xs[done : done + k])
+        done += k
+        if done < n:
+            power = power @ power
     return xs
 
 
@@ -307,7 +300,8 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate the Schroedinger equation over the grid.
 
     ``h`` is either a constant (d, d) Hermitian matrix, propagated exactly
-    from one stored sample to the next, or a :class:`Drive`
+    from one stored sample to the next by one exponential over the grid's
+    one gap between samples (see :func:`_sample_exact`), or a :class:`Drive`
     H(t) = h0 + f(t) x, stepped by the midpoint rule exp(-i H(t_mid) dt).
 
     For a drive, h0 and x are checked Hermitian once, and the step map is
@@ -356,7 +350,7 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         h = np.asarray(h, dtype=complex)
         if not is_hermitian(h):
             raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
-        states = _sample_exact(-1j * h, psi, steps, dt)
+        states = _sample_exact(-1j * h * (steps[1] * dt), psi, len(steps))
         hint = ""
 
     traj = Trajectory(times=grid.t_start + steps * dt, states=np.asarray(states))
@@ -387,7 +381,8 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     liouvillian[np.diag_indices(d * d)] -= 0.5 * dec.rates(m).ravel()
 
     steps = grid.sample_steps
-    states = np.reshape(_sample_exact(liouvillian, rho.ravel(), steps, grid.step), (-1, d, d))
+    gap = steps[1] * grid.step
+    states = np.reshape(_sample_exact(liouvillian * gap, rho.ravel(), len(steps)), (-1, d, d))
     states[1:] = (states[1:] + states[1:].conj().swapaxes(-1, -2)) / 2
     times = grid.t_start + steps * grid.step
     traces = np.trace(states[1:], axis1=1, axis2=2).real

@@ -199,14 +199,11 @@ def cat_coherence(state: np.ndarray, spin: SpinQuantum) -> float:
     return float(abs(state[0, d - 1]))
 
 
-def _left_justify(text: np.ndarray) -> np.ndarray:
-    """NUL-padded rows with every NUL moved to the end, as narrow as the
-    longest row allows."""
-    filled = text != 0
-    lengths = filled.sum(axis=1)
-    out = np.zeros((len(text), lengths.max(initial=0)), dtype=np.uint8)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = text[filled]
-    return out
+def _cell_text(cells) -> np.ndarray:
+    """(n, w) uint8 rows, one per cell: a string as it is, a number as
+    ``repr(float(cell))``, each NUL-padded to the longest."""
+    text = np.array([c if isinstance(c, str) else repr(float(c)) for c in cells], dtype="S")
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
 def _write_table(path, header, values, keys=(), outer=()) -> None:
@@ -216,7 +213,8 @@ def _write_table(path, header, values, keys=(), outer=()) -> None:
     line r is ``outer[r // len(keys)],keys[r % len(keys)],values[r, 0],...``,
     without the ``outer`` or ``keys`` cell when that sequence is empty.  So
     ``keys`` repeat in every block of lines and each ``outer`` value leads one
-    block.  ``keys`` are floats or preformatted strings.  Every float is
+    block.  A ``keys`` or ``outer`` cell is a number or a preformatted
+    string (see :func:`_cell_text`).  Every float is
     written as Python's shortest round-trip ``repr``, so the table reads back
     to the same float64 values.
 
@@ -225,7 +223,8 @@ def _write_table(path, header, values, keys=(), outer=()) -> None:
     block holds a whole number of ``keys`` cycles, as many as fit in
     ``_BLOCK_ROWS`` lines (at least one), so the ``keys`` cells and the
     commas after them are laid out once per table; each block then takes its
-    ``outer`` cells and the value cells, 32 bytes each with the comma or
+    ``outer`` cells, from the same once-formatted text, and the value cells,
+    32 bytes each with the comma or
     newline in the last, from :func:`_floattext.float_words`.  A 181 x 361
     Husimi grid is 17 blocks of up to 11 x 361 lines of 80 bytes, of which
     ~58 are text.  Only ``keys`` and ``outer`` are formatted once for the
@@ -234,13 +233,8 @@ def _write_table(path, header, values, keys=(), outer=()) -> None:
     block).
     """
     values = np.asarray(values, dtype=float)
-    keys = np.asarray(keys)
-    if keys.dtype.kind == "U":
-        key_text = keys.astype("S").view(np.uint8).reshape(len(keys), -1)
-    else:
-        key_text = _left_justify(_floattext.float_text(keys))
-    outer_text = _left_justify(_floattext.float_text(outer))
-    cycle = max(len(keys), 1)
+    key_text, outer_text = _cell_text(keys), _cell_text(outer)
+    cycle = max(len(key_text), 1)
     cycles = max(min(_BLOCK_ROWS // cycle, -(-len(values) // cycle)), 1)
     # the outer cell, a comma, the key cell and a comma, if there are any
     outer_end = len(outer_text) and outer_text.shape[1] + 1

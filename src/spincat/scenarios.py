@@ -612,13 +612,15 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
 class TactResult:
     """One tact case.  The peak N_eff, its time and the measured component
     are ``series.peak``, ``series.peak_time`` and ``series.operator_tag``;
-    ``husimi`` is the Q function of the state at that peak, if asked for."""
+    ``husimi`` is the Q function of the state at that peak, if asked for;
+    ``corner`` marks the case that ``include_corner`` adds."""
 
     eta: float
     gamma_b0: float
     euler: tuple
     series: SizeSeries
     husimi: object
+    corner: bool
 
 
 def tact_oat_comparison(
@@ -639,9 +641,14 @@ def tact_oat_comparison(
     N_eff is evaluated in the frame co-rotating at gamma*B0; params:
     ``t_max`` (default one full nonlinear window 2 pi / omega_q),
     ``n_steps``, ``n_output``, ``operator``.  H is constant and propagated
-    exactly, so the step only sets where samples fall: ``LAB_FRAME_DT`` with
-    a field, which resolves the Larmor precession, else ``t_max / n_steps``
-    (default 20000 steps).
+    exactly, so the grid only sets where samples fall.  A base step of
+    ``LAB_FRAME_DT`` with a field, which resolves the Larmor precession, else
+    ``t_max / n_steps`` (default 20000 steps), gives a step count; the
+    samples, min(``n_output``, that count) of them (default 4000), fall at
+    k t_max / samples, each a whole number of steps no longer than the base
+    step apart.  At the defaults the field case takes 28 000 steps, stored
+    every 7th, so its samples are 6.25 ns apart and land on the cat at
+    pi / (2 omega_q).
     """
     if eta_list is None:
         eta_list = [0.0, 1.0]
@@ -649,16 +656,16 @@ def tact_oat_comparison(
         b0_list = [0.0] if cfg.fields.gamma_b0 == 0 else [0.0, cfg.fields.gamma_b0]
     tag = _operator_tag(cfg)
     cases = [
-        (eta, b0, cfg.quad.euler, tag)
+        (eta, b0, cfg.quad.euler, tag, False)
         for eta, b0 in itertools.product(eta_list, b0_list)
     ]
     if include_corner:
-        cases.append((0.0, 0.0, (0.0, np.pi / 2, 0.0), "z"))
+        cases.append((0.0, 0.0, (0.0, np.pi / 2, 0.0), "z", True))
     return [_tact_single(cfg, *c, with_husimi=with_husimi) for c in cases]
 
 
 def _tact_single(
-    cfg: ScenarioConfig, eta, gamma_b0, euler, tag, with_husimi=False
+    cfg: ScenarioConfig, eta, gamma_b0, euler, tag, corner, with_husimi=False
 ) -> TactResult:
     spin = cfg.spin
     quad = replace(cfg.quad, eta=float(eta), euler=tuple(euler))
@@ -674,9 +681,10 @@ def _tact_single(
             "params.t_max = 1 / omega_q_hz is undefined; set params.t_max"
         )
     dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
-    grid = TimeGrid(0.0, t_max, dt=dt)
-    stride = max(1, grid.n_steps // _param(cfg, "n_output", 4000, minimum=1))
-    grid = replace(grid, output_stride=stride)
+    steps = TimeGrid(0.0, t_max, dt=dt).n_steps
+    samples = min(_param(cfg, "n_output", 4000, minimum=1), steps)
+    stride = -(-steps // samples)
+    grid = TimeGrid(0.0, t_max, dt=t_max / (samples * stride), output_stride=stride)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     traj = evolve_unitary(h, psi0, grid)
 
@@ -701,6 +709,7 @@ def _tact_single(
         euler=tuple(euler),
         series=series,
         husimi=hus,
+        corner=corner,
     )
 
 

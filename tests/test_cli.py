@@ -346,6 +346,51 @@ def test_tact_without_a_field_runs_each_case_once(tmp_path, capsys, monkeypatch)
     assert sorted(os.listdir(out)) == sorted(tables + ["tact_manifest.json"])
 
 
+def test_tact_corner_case_gets_its_own_tables_when_the_config_has_its_angles(tmp_path, capsys):
+    # the config's principal axis is already the corner case's (0, pi/2, 0);
+    # the corner case is marked where it is made, so it still writes its own
+    # "_corner" tables instead of overwriting eta0_b00Hz's
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps({
+        "spin": {"twice_i": 3},
+        "quadrupole": {"omega_q_hz": 40e3, "eta": 0.0, "euler_rad": [0, np.pi / 2, 0]},
+        "params": {"t_max": 1e-7, "n_steps": 10},
+    }))
+    out = tmp_path / "d"
+    assert main(["tact", "--corner", "--config", str(path), "--out", str(out)]) == 0
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == [
+        "tact eta0_b00Hz", "tact eta0_b08.25e+06Hz", "tact eta1_b00Hz",
+        "tact eta1_b08.25e+06Hz", "tact eta0_b00Hz_corner",
+    ]
+    tables = [
+        f"{label.removeprefix('tact ')}{kind}.csv" for label in labels for kind in ("", "_husimi")
+    ]
+    assert sorted(os.listdir(out)) == sorted(
+        [f"tact_{name}" for name in tables] + ["tact_manifest.json"]
+    )
+
+
+@pytest.mark.parametrize("twice_i", [7, 25])
+def test_tact_samples_both_eta0_cats_at_the_cat_time(tmp_path, capsys, twice_i):
+    # the cat forms at pi / (2 omega_q) = 6.25 us with and without the field;
+    # the field case's grid stores every 7th of 28 000 steps, so it lands
+    # there too.  Its peak is 2I within 6.3e-14 (2I = 7) and 1.4e-13
+    # (2I = 25) measured
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps({"spin": {"twice_i": twice_i}}))
+    out = tmp_path / "d"
+    assert main(["tact", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for label in ("eta0_b00Hz", "eta0_b08.25e+06Hz"):
+        (line,) = [x for x in lines if x.startswith(f"tact {label}:")]
+        assert line.endswith(f"max N_eff(y) = {twice_i:.4f} at t = 6.250 us")
+    table = np.loadtxt(out / "tact_eta0_b08.25e+06Hz.csv", delimiter=",")
+    assert len(table) == 4001
+    assert np.diff(table[:, 0]) == pytest.approx(6.25e-9, rel=1e-9)
+    assert abs(table[:, 1].max() - twice_i) <= 5e-13
+
+
 def test_main_calls_share_one_parser_and_get_their_own_defaults(tmp_path, capsys):
     # the parser is built once per process; a flag given to one call must
     # not become the next call's default

@@ -58,7 +58,10 @@ def test_time_grid_validation():
     assert grid.n_steps == 4
     assert grid.step == pytest.approx(0.25)
     assert grid.sample_steps.tolist() == [0, 4]
-    assert TimeGrid(0.0, 1.0, dt=0.1, output_stride=4).sample_steps.tolist() == [0, 4, 8, 10]
+    # a stride rounds the step count up to a multiple of it: 12 steps, not 10
+    strided = TimeGrid(0.0, 1.0, dt=0.1, output_stride=4)
+    assert strided.sample_steps.tolist() == [0, 4, 8, 12]
+    assert strided.step <= strided.dt
     assert TimeGrid(0.0, 1.0, dt=0.1, output_stride=1).sample_steps.tolist() == list(range(11))
 
 
@@ -312,21 +315,23 @@ def test_drive_final_state_matches_per_step_expm(n_steps):
 def test_drive_samples_match_per_step_expm_at_every_stride(stride):
     # a drive run stores its end states only, so mid-run samples come from
     # chained runs, each grid starting where the last one ended: mid-pulse
-    # and mid-chunk of the whole span.  Over 700 and 1101 steps the strides
-    # land inside chunks, on chunk edges, on both, and only at the end; odd
-    # strides and the odd 1101 leave runs that end in a single-step map
+    # and mid-chunk of the whole span.  Over 700 and 1101 steps the run
+    # boundaries, every stride-th step and the last, land inside chunks, on
+    # chunk edges, on both, and only at the end; odd strides and the odd 1101
+    # leave runs that end in a single-step map
     spin, drive, _ = lab_check_drive()
     h0, x = np.asarray(drive.h0), np.asarray(drive.x)
     psi0 = eigenstate(spin, spin.i)
     for n_steps in (700, 1101):
-        grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9, output_stride=stride)
+        grid = TimeGrid(0.0, n_steps * 1e-9, dt=1e-9)
+        assert grid.n_steps == n_steps
         t_mid = grid.t_start + (np.arange(grid.n_steps) + 0.5) * grid.step
         psis = [psi0.astype(complex)]
         for c in drive.pulse.envelope(t_mid):
             psis.append(scipy.linalg.expm(-1j * (h0 + c * x) * grid.step) @ psis[-1])
-        steps = grid.sample_steps
+        steps = list(range(0, n_steps, stride)) + [n_steps]
         state = psi0
-        for k0, k1 in zip(steps[:-1].tolist(), steps[1:].tolist()):
+        for k0, k1 in zip(steps[:-1], steps[1:]):
             run = TimeGrid(k0 * 1e-9, k1 * 1e-9, dt=1e-9)
             assert run.n_steps == k1 - k0
             state = evolve_unitary(drive, state, run).final_state
@@ -480,8 +485,9 @@ def test_lindblad_matches_rk4_reference(case):
     assert trace_distance(exact, rk4) <= 1e-10
 
 
-def test_exact_sampling_off_stride_matches_repeated_one_step_propagators():
-    # 1003 steps at stride 10: 100 stride gaps and a final gap of 3
+def test_exact_sampling_rounds_to_the_stride_and_matches_repeated_one_step_propagators():
+    # a span of 1003 steps of dt at stride 10 becomes 1010 shorter steps, so
+    # the 101 samples are equally spaced and the last is at the span's end
     spin = SpinQuantum(3)
     rng = np.random.default_rng(5)
     h = random_hermitian(4, rng) * 1e4
@@ -490,8 +496,9 @@ def test_exact_sampling_off_stride_matches_repeated_one_step_propagators():
     rho0 = np.outer(psi0, psi0.conj())
     dt = 1e-6
     grid = TimeGrid(0.0, 1003 * dt, dt=dt, output_stride=10)
-    assert grid.n_steps == 1003
-    stored = list(range(0, 1001, 10)) + [1003]
+    assert grid.n_steps == 1010
+    assert grid.step <= dt
+    stored = list(range(0, 1011, 10))
     # one-step maps built independently of the evolvers: the Liouvillian on
     # the column-major vectorization, vec(A X B) = (B^T (x) A) vec(X)
     m = spin.m_values
@@ -532,24 +539,25 @@ def test_exact_sampling_off_stride_matches_repeated_one_step_propagators():
 
 
 def test_exact_sampling_by_doubling_matches_sequential_application():
-    # tact's grid at 2I = 25: 25 000 steps stored every 6th, a run of 4166
-    # equal gaps (doubled up to U^4096) and a last gap of 4.  Against one
-    # matrix-vector product per sample with the same expm'd maps the doubled
-    # powers differ by rounding only, 3.9e-14 measured (sequential
-    # application itself drifts 2.3e-14 in norm there)
-    size, n_steps, stride = 26, 25000, 6
+    # tact's field grid at 2I = 25: 28 000 steps stored every 7th, one run
+    # of 4000 equal gaps, doubled up to U^2048.  Against one matrix-vector
+    # product per sample with the same expm'd map the doubled powers differ
+    # by rounding only, 4.2e-14 measured
+    size, n_steps, stride = 26, 28000, 7
     rng = np.random.default_rng(6)
     g = -1j * random_hermitian(size, rng) * 1e7
     x0 = rng.normal(size=size) + 1j * rng.normal(size=size)
     x0 /= np.linalg.norm(x0)
-    dt = 1e-9
-    grid = TimeGrid(0.0, n_steps * dt, dt=dt, output_stride=stride)
+    grid = TimeGrid(0.0, 25e-6, dt=25e-6 / n_steps, output_stride=stride)
+    assert grid.n_steps == n_steps
     steps = grid.sample_steps
-    xs = _sample_exact(g, x0, steps, grid.step)
-    maps = {gap: scipy.linalg.expm(g * (gap * grid.step)) for gap in set(np.diff(steps).tolist())}
+    assert len(steps) == 4001
+    gap = g * (stride * grid.step)
+    xs = _sample_exact(gap, x0, len(steps))
+    u = scipy.linalg.expm(gap)
     expected = [x0]
-    for gap in np.diff(steps).tolist():
-        expected.append(maps[gap] @ expected[-1])
+    for _ in steps[1:]:
+        expected.append(u @ expected[-1])
     assert xs.shape == (len(steps), size)
     assert np.max(np.abs(xs - np.array(expected))) <= 2e-13
 
@@ -563,16 +571,16 @@ def test_evolvers_name_the_first_sample_that_breaks_a_conservation_law(monkeypat
     rho0 = np.outer(psi0, psi0.conj())
     scale = np.ones(7)
     scale[[3, 5]] = 1.1
-    monkeypatch.setattr(dynamics, "_sample_exact", lambda g, x0, steps, dt: scale[:, None] * x0)
+    monkeypatch.setattr(dynamics, "_sample_exact", lambda g, x0, n: scale[:, None] * x0)
     with pytest.raises(IntegrationError, match=re.escape(f"norm drifted to 1.1 at t = {3e-6}")):
         evolve_unitary(np.zeros((4, 4)), psi0, grid)
     with pytest.raises(IntegrationError, match=re.escape(f"trace drifted to 1.1 at t = {3e-6}")):
         evolve_lindblad(np.zeros((4, 4)), rho0, DecoherenceSpec(), grid)
 
-    def negative_at_2(g, x0, steps, dt):
-        rhos = np.repeat(x0[None], len(steps), axis=0).reshape(-1, 4, 4) * scale[:, None, None]
+    def negative_at_2(g, x0, n):
+        rhos = np.repeat(x0[None], n, axis=0).reshape(-1, 4, 4) * scale[:, None, None]
         rhos[2] = np.diag([1.1, 0.0, 0.0, -0.1])
-        return rhos.reshape(len(steps), -1)
+        return rhos.reshape(n, -1)
 
     monkeypatch.setattr(dynamics, "_sample_exact", negative_at_2)
     message = f"eigenvalue -0.1 below -1e-07 at t = {2e-6}"

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spincat._floattext import _BLOCK, float_text
+from spincat._floattext import _BLOCK, float_words
 from spincat.control import wrap_phase
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import effective_sizes
@@ -146,6 +146,15 @@ def test_lindblad_states_keep_unit_trace_and_stay_positive(case):
     assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-10
     assert np.array_equal(states[1:], states[1:].conj().swapaxes(1, 2))
     assert np.linalg.eigvalsh(states).min() >= -1e-10
+
+
+def float_text(x) -> np.ndarray:
+    """(n, 32) uint8 rows, one per value of x (flattened): each row
+    without its NUL bytes is ``repr(float(value))``."""
+    x = np.ravel(np.asarray(x, dtype=np.float64))
+    out = np.empty((len(x), 4), dtype="<u8")
+    float_words(x, out)
+    return out.view(np.uint8)
 
 
 def _lines(x: np.ndarray) -> list:

@@ -10,9 +10,11 @@ from numpy.testing import assert_allclose
 import spincat.observables
 
 from spincat.control import (
+    PulseSegment,
     ToneSpec,
     cat_schedule,
     drive_phase_offset,
+    oat_equivalent_phase_shifts,
     rotating_frame_hamiltonian,
     rotation_duration,
     segment_rotating_hamiltonian,
@@ -325,6 +327,59 @@ def test_gap_rule_matches_lab_frame_protocol():
         assert effective_size(flipped, iz, spin) == pytest.approx(neff, abs=1e-9)
 
 
+def _virtual_phase_in_the_lab(twice_i, wait_fraction, sign=1, advance=True):
+    """Infidelity of two back-to-back lab pulses (1 ns steps, gamma*B1 and
+    omega_q scaled by 25) against ``virtual_phase_cat`` of the same config,
+    with ``params.t_wait`` the cat time times ``wait_fraction``.  The first
+    pulse carries ``sign`` times the gauge shifts, the second, locked at
+    t_half, the phase advance omega_j t_half unless ``advance`` is False;
+    both less the drive axis's offset, so that in the rotating frame they
+    are the shifts and 0."""
+    base = paper_config(twice_i=twice_i)
+    quad = replace(base.quad, omega_q=25 * base.quad.omega_q)
+    omega_eff = effective_oat_strength(quad, base.spin)
+    t_wait = wait_fraction * np.pi / (2 * abs(omega_eff))
+    cfg = replace(
+        base,
+        fields=replace(base.fields, gamma_b1=25 * base.fields.gamma_b1),
+        quad=quad,
+        params={"t_wait": t_wait},
+    )
+    spin, fields = cfg.spin, cfg.fields
+    ladder = _ladder(cfg)
+    freqs = ladder.transition_freqs
+    h_static = static_hamiltonian(fields, quad, spin)
+    t_half = rotation_duration(spin, fields.gamma_b1, np.pi / 2)
+    offset = drive_phase_offset(fields.drive_axis)
+    shifts = sign * oat_equivalent_phase_shifts(t_wait, omega_eff, spin)
+    advances = freqs * t_half if advance else np.zeros_like(freqs)
+    eps = 1.0 / spin.twice_i
+    pulses = (
+        PulseSegment([ToneSpec(w, eps, s - offset) for w, s in zip(freqs, shifts)], 0.0, t_half),
+        PulseSegment([ToneSpec(w, eps, a - offset) for w, a in zip(freqs, advances)],
+                     t_half, 2 * t_half),
+    )
+    psi = eigenstate(spin, spin.i)
+    for pulse in pulses:
+        grid = TimeGrid(pulse.t_start, pulse.t_end, dt=1e-9)
+        psi = evolve_unitary(_lab_hamiltonian(h_static, fields, spin, pulse), psi, grid).final_state
+    psi_rot = np.exp(1j * ladder.energies * grid.t_end) * psi
+    return 1 - fidelity(psi_rot, virtual_phase_cat(cfg).final_state)
+
+
+@pytest.mark.parametrize("twice_i", [3, 7])
+def test_virtual_phase_cat_matches_lab_frame_pulses(twice_i):
+    # the paper's central claim in the lab frame: phase modulation alone
+    # makes the cat.  Infidelity at the cat time and at 0.37 of it, 9.7e-6
+    # and 2.2e-5 (2I = 3), 2.1e-5 and 1.7e-5 (2I = 7) measured.  Off the cat
+    # time negated shifts are 0.63 (2I = 3) and 0.73 (2I = 7) away, and at
+    # it a second pulse without its phase advance 0.88 and 0.99
+    for wait_fraction in (1.0, 0.37):
+        assert _virtual_phase_in_the_lab(twice_i, wait_fraction) <= 5e-5
+    assert _virtual_phase_in_the_lab(twice_i, 0.37, sign=-1) >= 0.5
+    assert _virtual_phase_in_the_lab(twice_i, 1.0, advance=False) >= 0.5
+
+
 def test_gap_sweeps_reject_bad_gap_times():
     cfg = paper_config(twice_i=3)
     with pytest.raises(ValueError, match="gap time"):
@@ -506,6 +561,28 @@ def test_tact_corotating_frame_removes_larmor_precession():
     iy = spin_operators(spin).Iy
     expected = [effective_size(state, iy, spin) for state in states]
     assert np.max(np.abs(field.series.values - expected)) <= 1e-9
+
+
+def test_tact_grid_keeps_the_step_count_of_a_short_run(monkeypatch):
+    # t_max 1e-7 and n_steps 10: 10 steps of 10 ns without a field, 100 of
+    # 1 ns with one, each stored (fewer than n_output samples)
+    import spincat.scenarios
+
+    grids = []
+    original = spincat.scenarios.evolve_unitary
+
+    def recording(h, psi0, grid):
+        grids.append(grid)
+        return original(h, psi0, grid)
+
+    monkeypatch.setattr(spincat.scenarios, "evolve_unitary", recording)
+    cfg = paper_config(params={"t_max": 1e-7, "n_steps": 10})
+    free, field = tact_oat_comparison(cfg, eta_list=[0.0])
+    assert [g.n_steps for g in grids] == [10, 100]
+    assert [g.output_stride for g in grids] == [1, 1]
+    for res, n in ((free, 11), (field, 101)):
+        assert len(res.series.times) == n
+        assert res.series.times[-1] == pytest.approx(1e-7, rel=1e-12)
 
 
 def test_sweeps_check_their_observable_once_per_case(monkeypatch):
