@@ -88,18 +88,16 @@ __all__ = [
 
 _TWO_PI = 2 * np.pi
 
-#: ``params`` times that set the length of a span; each must be > 0.
-_SPAN_KEYS = ("t_max", "t_final")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full parameter set for a scenario run.
 
     ``params`` carries scenario-specific knobs (sweep ranges, sample counts,
-    phase-rule reference frequency, ...); every scenario documents the keys
-    it reads.  Run settings are not part of it: the output directory is
-    ``spincat --out`` and the lab-frame step ``spincat lab-check --dt``.
+    phase-rule reference frequency, ...); ``_PARAMS`` holds the rule of each
+    key, and every scenario documents the keys it reads.  Run settings are
+    not part of it: the output directory is ``spincat --out`` and the
+    lab-frame step ``spincat lab-check --dt``.
     """
 
     spin: SpinQuantum
@@ -147,38 +145,58 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _finite(value, key: str) -> float:
-    """A config number as a float; anything but a finite real (a bool
-    included) is an error naming its dotted key."""
+def _checked(value, key: str, kind: str = "real", bound=None):
+    """``value`` of the dotted config key ``key`` under a rule, else an error
+    naming the key: ``"real"`` a finite real, as a float, and ``bound``
+    ("> 0" or ">= 0") if given; ``"count"`` an integer >= ``bound``;
+    ``"choice"`` one of ``bound``.  A bool is neither a real nor a count."""
+    if kind == "choice":
+        if value not in bound:
+            names = ", ".join(map(repr, bound[:-1]))
+            raise ValueError(f"config key {key!r} must be {names} or {bound[-1]!r}, got {value!r}")
+        return value
+    if kind == "count":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < bound:
+            raise ValueError(f"config key {key!r} must be an integer >= {bound}, got {value!r}")
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if bound is not None and not (value > 0 if bound == "> 0" else value >= 0):
+        raise ValueError(f"config key {key!r} must be {bound}, got {value!r}")
+    return value
 
 
-def _param(cfg: ScenarioConfig, key: str, default, minimum: int | None = None):
-    """``cfg.params[key]``, or ``default`` when absent.  A count (given a
-    ``minimum``) must be an integer at or above it, any other value a finite
-    real (> 0 for the span lengths ``_SPAN_KEYS``); a bool is neither.  A bad
-    value is an error naming the key."""
-    value = cfg.params.get(key, default)
-    if minimum is None:
-        value = _finite(value, f"params.{key}")
-        if key in _SPAN_KEYS and value <= 0:
-            raise ValueError(f"config key 'params.{key}' must be > 0, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(
-            f"config key 'params.{key}' must be an integer >= {minimum}, got {value!r}"
-        )
-    return int(value)
+#: The rule of each ``params`` key: the ``kind`` and ``bound`` of :func:`_checked`.
+_PARAMS = {
+    "n_points": ("count", 2),
+    "n_steps": ("count", 1),
+    "n_output": ("count", 1),
+    "operator": ("choice", ("x", "y", "z")),
+    "t_max": ("real", "> 0"),
+    "t_final": ("real", "> 0"),
+    "t_wait": ("real", ">= 0"),
+    "phase_reference_omega": ("real", None),
+    "base_phase": ("real", None),
+}
+
+
+def _param(cfg: ScenarioConfig, key: str, default):
+    """``cfg.params[key]``, else ``default`` (called if callable, so that a
+    computed default costs nothing when the key is set), under the key's
+    rule in ``_PARAMS``; a bad value is an error naming ``params.<key>``."""
+    if key not in cfg.params and callable(default):
+        default = default()
+    return _checked(cfg.params.get(key, default), f"params.{key}", *_PARAMS[key])
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Inverse of :func:`config_to_dict`; missing sections fall back to the
     default parameter set.  A key that :func:`config_to_dict` does not write
     is an error naming its dotted path; ``params`` is free-form.  Numbers
-    must be finite reals, ``spin.twice_i`` an integer and
-    ``quadrupole.euler_rad`` a list of three numbers."""
+    must be finite reals, the two field strengths, ``omega_q_hz`` and the two
+    rates also >= 0 (checked in the config's own units), ``spin.twice_i`` an
+    integer >= 1 and ``quadrupole.euler_rad`` a list of three numbers."""
     base = paper_config()
     known = config_to_dict(base)
     if not isinstance(doc, dict):
@@ -200,28 +218,26 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         section, sub = key.split(".")
         return doc.get(section, {}).get(sub, known[section][sub])
 
-    def number(key: str) -> float:
-        return _finite(value(key), key)
+    def number(key: str, bound=None) -> float:
+        return _checked(value(key), key, "real", bound)
 
-    twice_i = value("spin.twice_i")
-    if isinstance(twice_i, bool) or not isinstance(twice_i, numbers.Integral):
-        raise ValueError(f"config key 'spin.twice_i' must be an integer, got {twice_i!r}")
+    twice_i = _checked(value("spin.twice_i"), "spin.twice_i", "count", 1)
     euler = value("quadrupole.euler_rad")
     if not isinstance(euler, (list, tuple)) or len(euler) != 3:
         raise ValueError(f"config key 'quadrupole.euler_rad' must hold 3 numbers, got {euler!r}")
     fields = FieldSpec(
-        gamma_b0=number("fields.gamma_b0_hz") * _TWO_PI,
-        gamma_b1=number("fields.gamma_b1_hz") * _TWO_PI,
+        gamma_b0=number("fields.gamma_b0_hz", ">= 0") * _TWO_PI,
+        gamma_b1=number("fields.gamma_b1_hz", ">= 0") * _TWO_PI,
         drive_axis=value("fields.drive_axis"),
     )
     quad = QuadrupoleSpec(
-        omega_q=number("quadrupole.omega_q_hz") * _TWO_PI,
+        omega_q=number("quadrupole.omega_q_hz", ">= 0") * _TWO_PI,
         eta=number("quadrupole.eta"),
-        euler=tuple(_finite(x, "quadrupole.euler_rad") for x in euler),
+        euler=tuple(_checked(x, "quadrupole.euler_rad") for x in euler),
     )
     dec = DecoherenceSpec(
-        gamma_m=number("decoherence.gamma_m_per_s"),
-        gamma_e=number("decoherence.gamma_e_per_s"),
+        gamma_m=number("decoherence.gamma_m_per_s", ">= 0"),
+        gamma_e=number("decoherence.gamma_e_per_s", ">= 0"),
     )
     return ScenarioConfig(
         spin=SpinQuantum(twice_i),
@@ -239,15 +255,6 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
 def _measure_operator(spin: SpinQuantum, tag: str) -> np.ndarray:
     ops = spin_operators(spin)
     return {"x": ops.Ix, "y": ops.Iy, "z": ops.Iz}[tag]
-
-
-def _operator_tag(cfg: ScenarioConfig) -> str:
-    """``params["operator"]`` (default "y"), the spin component N_eff is
-    measured along; anything but "x", "y" or "z" is an error naming the key."""
-    tag = cfg.params.get("operator", "y")
-    if tag not in ("x", "y", "z"):
-        raise ValueError(f"config key 'params.operator' must be 'x', 'y' or 'z', got {tag!r}")
-    return tag
 
 
 def _ladder(cfg: ScenarioConfig) -> EnergyLadder:
@@ -279,11 +286,6 @@ def _twisting(cfg: ScenarioConfig) -> float:
             f"config key '{key}' is {value}, so the effective twisting strength is zero"
         )
     return omega
-
-
-def _neff_series(states, times, op, spin, tag) -> SizeSeries:
-    vals = effective_sizes(states, op, spin)
-    return SizeSeries(times=np.asarray(times), values=vals, operator_tag=tag)
 
 
 def _uniform_tones(freqs, eps, phi):
@@ -327,15 +329,16 @@ def oat_free_evolution(cfg: ScenarioConfig) -> SizeSeries:
     t = pi/omega_q_eff.  H = omega_q_eff Iz^2 is diagonal, so every sample
     is the closed form psi(t) = psi(0) exp(-i omega_q_eff t m^2), with no
     time stepping.  Params: ``t_max`` (default one revival period),
-    ``n_points`` (default 1001).
+    ``n_points`` (default 1001), ``operator`` (default "y").
     """
     spin = cfg.spin
     omega = _twisting(cfg)
     t_max = _param(cfg, "t_max", np.pi / abs(omega))
-    times = np.linspace(0.0, t_max, _param(cfg, "n_points", 1001, minimum=2))
+    times = np.linspace(0.0, t_max, _param(cfg, "n_points", 1001))
     states = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
-    tag = _operator_tag(cfg)
-    return _neff_series(states, times, _measure_operator(spin, tag), spin, tag)
+    tag = _param(cfg, "operator", "y")
+    values = effective_sizes(states, _measure_operator(spin, tag), spin)
+    return SizeSeries(times=times, values=values, operator_tag=tag)
 
 
 def ramsey_cat_protocol(cfg: ScenarioConfig, phase_rule: str = "rotating") -> SizeSeries:
@@ -344,22 +347,19 @@ def ramsey_cat_protocol(cfg: ScenarioConfig, phase_rule: str = "rotating") -> Si
     ``phase_rule = "fixed"`` keeps the second pulse phase at pi/2, producing
     the fast oscillation at gamma*B0/pi; ``"rotating"`` advances it by the
     frame phase accumulated up to the second pulse's start, exposing the
-    clean collapse-and-revival of period pi/omega_q_eff.  The reference
-    frequency defaults to gamma*B0 (``params["phase_reference_omega"]``).
-    The signal is the zero-rate case of :func:`decoherence_sweep`: the same
-    protocol, run in the generalized rotating frame.  Params: ``t_max``
-    (default 2.5 revival periods), ``n_points`` (default 1251).
+    clean collapse-and-revival of period pi/omega_q_eff.  The signal is the
+    zero-rate case of :func:`decoherence_sweep`: the same protocol, run in
+    the generalized rotating frame.  Params: ``phase_reference_omega``
+    (default gamma*B0; read by the rotating rule only), ``t_max`` (default
+    2.5 revival periods), ``n_points`` (default 1251).
     """
     if phase_rule not in ("fixed", "rotating"):
         raise ValueError(f"phase_rule must be 'fixed' or 'rotating', got {phase_rule!r}")
     omega_ref = 0.0
     if phase_rule == "rotating":
         omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
-    if "t_max" in cfg.params:
-        t_max = _param(cfg, "t_max", None)
-    else:
-        t_max = 2.5 * np.pi / abs(_twisting(cfg))
-    t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251, minimum=2))
+    t_max = _param(cfg, "t_max", lambda: 2.5 * np.pi / abs(_twisting(cfg)))
+    t_values = np.linspace(0.0, t_max, _param(cfg, "n_points", 1251))
     return _cat_signal(cfg, DecoherenceSpec(), omega_ref, t_values)
 
 
@@ -448,18 +448,17 @@ def virtual_phase_cat(cfg: ScenarioConfig) -> VirtualPhaseResult:
 
     Two back-to-back pi/2 pulses replace the pulse / free-twisting / pulse
     protocol: the pulse acting on the twisting eigenstate |I,I> carries the
-    exact per-tone gauge shifts for the wait T (``params["t_wait"]``, >= 0;
-    default the cat time pi/(2 |omega_q_eff|)), so the pair of pulses
+    exact per-tone gauge shifts for the wait T, so the pair of pulses
     reproduces the free-evolution protocol including global phase.  The
     reference state runs the nonlinear evolution exp(-i T omega_q_eff Iz^2)
-    for real between uniform-phase pulses.
+    for real between uniform-phase pulses.  Params: ``t_wait`` (T, default
+    the cat time pi/(2 |omega_q_eff|)), ``base_phase`` (the uniform tone
+    phase, default 0).
     """
     spin = cfg.spin
     ladder = _ladder(cfg)
     omega_eff = _twisting(cfg)
     t_wait = _param(cfg, "t_wait", np.pi / (2 * abs(omega_eff)))
-    if t_wait < 0:
-        raise ValueError(f"config key 'params.t_wait' must be >= 0, got {t_wait!r}")
     base_phase = _param(cfg, "base_phase", 0.0)
     n = spin.twice_i
     freqs = ladder.transition_freqs
@@ -560,7 +559,7 @@ def decoherence_sweep(
     if gamma_e_list is None:
         gamma_e_list = [cfg.decoherence.gamma_e]
     t_values = np.linspace(
-        0.0, _param(cfg, "t_max", 40e-3), _param(cfg, "n_points", 40001, minimum=2)
+        0.0, _param(cfg, "t_max", 40e-3), _param(cfg, "n_points", 40001)
     )
     omega_ref = _param(cfg, "phase_reference_omega", cfg.fields.gamma_b0)
     return [
@@ -581,7 +580,7 @@ def coherence_scaling(cfg: ScenarioConfig, twice_i_list=None) -> list:
     """Cat coherence |rho_{I,-I}| after amplified dephasing, versus dimension.
 
     For each spin the ideal cat (|I,I> + |I,-I>)/sqrt2 dephases for
-    ``params["t_final"]`` (default 1 ms) under ``cfg.decoherence`` with
+    ``t_final`` (a param, default 1 ms) under ``cfg.decoherence`` with
     H = 0.  The jump operators are diagonal, so the Lindblad solution is the
     element-by-element closed form of :func:`_dephased`, with no d^2 x d^2
     Liouvillian.  Gamma_e leaves rho_{I,-I} alone (m^2 is the same at
@@ -640,21 +639,21 @@ def tact_oat_comparison(
     no-field corner case (eta = 0, mu = pi/2) is added, measured along z.
     N_eff is evaluated in the frame co-rotating at gamma*B0; params:
     ``t_max`` (default one full nonlinear window 2 pi / omega_q),
-    ``n_steps``, ``n_output``, ``operator``.  H is constant and propagated
-    exactly, so the grid only sets where samples fall.  A base step of
-    ``LAB_FRAME_DT`` with a field, which resolves the Larmor precession, else
-    ``t_max / n_steps`` (default 20000 steps), gives a step count; the
-    samples, min(``n_output``, that count) of them (default 4000), fall at
-    k t_max / samples, each a whole number of steps no longer than the base
-    step apart.  At the defaults the field case takes 28 000 steps, stored
-    every 7th, so its samples are 6.25 ns apart and land on the cat at
-    pi / (2 omega_q).
+    ``n_steps``, ``n_output``, ``operator`` (default "y").  H is constant
+    and propagated exactly, so the grid only sets where samples fall.  A
+    base step of ``LAB_FRAME_DT`` with a field, which resolves the Larmor
+    precession, else ``t_max / n_steps`` (default 20000 steps), gives a step
+    count; the samples, min(``n_output``, that count) of them (default
+    4000), fall at k t_max / samples, each a whole number of steps no longer
+    than the base step apart.  At the defaults the field case takes 28 000
+    steps, stored every 7th, so its samples are 6.25 ns apart and land on
+    the cat at pi / (2 omega_q).
     """
     if eta_list is None:
         eta_list = [0.0, 1.0]
     if b0_list is None:
         b0_list = [0.0] if cfg.fields.gamma_b0 == 0 else [0.0, cfg.fields.gamma_b0]
-    tag = _operator_tag(cfg)
+    tag = _param(cfg, "operator", "y")
     cases = [
         (eta, b0, cfg.quad.euler, tag, False)
         for eta, b0 in itertools.product(eta_list, b0_list)
@@ -671,18 +670,18 @@ def _tact_single(
     quad = replace(cfg.quad, eta=float(eta), euler=tuple(euler))
     fields = replace(cfg.fields, gamma_b0=float(gamma_b0))
     h = static_hamiltonian(fields, quad, spin)
-    if "t_max" in cfg.params:
-        t_max = _param(cfg, "t_max", None)
-    elif quad.omega_q > 0:
-        t_max = 2 * np.pi / quad.omega_q
-    else:
+
+    def window() -> float:
+        if quad.omega_q > 0:
+            return 2 * np.pi / quad.omega_q
         raise ValueError(
             "config key 'quadrupole.omega_q_hz' is 0, so the default "
             "params.t_max = 1 / omega_q_hz is undefined; set params.t_max"
         )
-    dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000, minimum=1)
+    t_max = _param(cfg, "t_max", window)
+    dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000)
     steps = TimeGrid(0.0, t_max, dt=dt).n_steps
-    samples = min(_param(cfg, "n_output", 4000, minimum=1), steps)
+    samples = min(_param(cfg, "n_output", 4000), steps)
     stride = -(-steps // samples)
     grid = TimeGrid(0.0, t_max, dt=t_max / (samples * stride), output_stride=stride)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)

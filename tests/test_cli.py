@@ -163,6 +163,17 @@ def test_config_that_is_not_an_object_is_a_diagnostic_exit(tmp_path, capsys):
         ({"dt": "1e-9"}, "'dt'"),
         ({"params": [1]}, "'params'"),
         ({"output_dir": 5}, "'output_dir'"),
+        # range errors name the key and give the value in the config's units
+        ({"fields": {"gamma_b0_hz": -8.25e6}},
+         "'fields.gamma_b0_hz' must be >= 0, got -8250000.0"),
+        ({"fields": {"gamma_b1_hz": -800}}, "'fields.gamma_b1_hz' must be >= 0, got -800.0"),
+        ({"quadrupole": {"omega_q_hz": -40000}},
+         "'quadrupole.omega_q_hz' must be >= 0, got -40000.0"),
+        ({"decoherence": {"gamma_m_per_s": -10}},
+         "'decoherence.gamma_m_per_s' must be >= 0, got -10.0"),
+        ({"decoherence": {"gamma_e_per_s": -0.1}},
+         "'decoherence.gamma_e_per_s' must be >= 0, got -0.1"),
+        ({"spin": {"twice_i": 0}}, "'spin.twice_i' must be an integer >= 1, got 0"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_diagnostic_exit(tmp_path, capsys, doc, key):

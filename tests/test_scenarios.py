@@ -1,6 +1,8 @@
+import ast
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from spincat.hamiltonian import (
 )
 from spincat.observables import cat_coherence, effective_size
 from spincat.scenarios import (
+    _PARAMS,
     _cat_signal,
     _dephased,
     _lab_hamiltonian,
@@ -143,6 +146,19 @@ def test_ramsey_fixed_rule_oscillates_at_larmor_scale():
 def test_ramsey_rejects_unknown_rule():
     with pytest.raises(ValueError):
         ramsey_cat_protocol(paper_config(), phase_rule="sideways")
+
+
+@pytest.mark.parametrize("twice_i", [3, 7])
+def test_ramsey_rotating_rule_at_zero_reference_is_the_fixed_rule(twice_i):
+    # the fixed rule is the rotating one with omega_ref = 0; measured:
+    # identical arrays at 2I = 3 and 7 on 201 points
+    window = {"n_points": 201}
+    zero = paper_config(twice_i, params={**window, "phase_reference_omega": 0})
+    fixed = ramsey_cat_protocol(paper_config(twice_i, params=window), phase_rule="fixed")
+    assert np.array_equal(ramsey_cat_protocol(zero).values, fixed.values)
+    # the key is read: at its default, gamma*B0, the signal differs
+    default = ramsey_cat_protocol(paper_config(twice_i, params=window))
+    assert not np.array_equal(default.values, fixed.values)
 
 
 def _per_sample_second_pulses(cfg, t_values, omega_ref):
@@ -400,6 +416,22 @@ def test_virtual_phase_cat_matches_free_evolution(twice_i):
     assert pops.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("twice_i", [3, 7])
+def test_virtual_phase_base_phase_keeps_the_gauge_identity(twice_i):
+    # a uniform tone phase is a rotation about z, which commutes with the
+    # twisting.  Measured at 2I = 3 and 7: infidelity <= 2.2e-15 and
+    # populations within 6.7e-16 of base_phase 0
+    plain = virtual_phase_cat(paper_config(twice_i))
+    for base_phase in (0.7, -2, 3):
+        result = virtual_phase_cat(paper_config(twice_i, params={"base_phase": base_phase}))
+        assert 1 - result.fidelity <= 1e-14
+        pops = np.abs(result.final_state) ** 2
+        assert np.max(np.abs(pops - np.abs(plain.final_state) ** 2)) <= 4e-15
+        assert np.array_equal(result.phase_increments, plain.phase_increments)
+        # the key is read: the state itself is rotated
+        assert np.max(np.abs(result.final_state - plain.final_state)) > 0.1
+
+
 def test_virtual_phase_zero_wait_is_pi_rotation():
     cfg = paper_config(params={"t_wait": 0.0})
     result = virtual_phase_cat(cfg)
@@ -627,6 +659,24 @@ def test_config_round_trip_and_manifest(tmp_path):
     assert manifest["config"]["spin"]["twice_i"] == 7
     assert manifest["extras"]["note"] == "test"
     assert manifest["wall_time_s"] == 1.25
+
+
+def test_every_params_read_goes_through_its_declared_rule():
+    # cfg.params is read only by _param (config_to_dict echoes it), every
+    # key passed to _param is declared in _PARAMS, and none is declared
+    # that no code passes
+    readers, keys = set(), set()
+    for path in sorted(Path(spincat.observables.__file__).parent.glob("*.py")):
+        for func in ast.parse(path.read_text()).body:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Attribute) and node.attr == "params":
+                    readers.add(getattr(func, "name", f"{path.name} top level"))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_param":
+                    key = node.args[1]
+                    assert isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    keys.add(key.value)
+    assert readers == {"_param", "config_to_dict"}
+    assert keys == set(_PARAMS)
 
 
 def test_manifest_records_numpy_and_the_blas_thread_settings(tmp_path, monkeypatch):
