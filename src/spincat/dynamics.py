@@ -2,16 +2,20 @@
 
 A constant generator (-iH, or the Lindblad Liouvillian) is propagated
 exactly from one stored sample to the next: the samples are equally spaced,
-so a run takes one matrix exponential.  A time-dependent H is a :class:`Drive`,
-H(t) = h0 + f(t) x with f the envelope of a multi-tone pulse, |f| <= 1,
-stepped by the midpoint rule exp(-i H(t_mid) dt).  The amplitudes c =
-f(t_mid) come from tone phasors, one small product per chunk of steps.
-Every step map is one polynomial in c, sum_j c^j M_j; its coefficients
-come once per run from one exponential of a block-bidiagonal matrix.  Two consecutive steps a, b are
-one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so the
-steps of a chunk become one such map per pair (and one single-step map for
-an odd last step), multiplied pairwise and taken one Newton-Schulz step
-toward unitarity.  Both evolvers check their conservation laws (norm,
+so a run takes one matrix exponential, ``scipy.linalg.expm``, the package's
+only use of scipy (imported by :func:`_sample_exact` alone).  The other
+exponentials use their structure: :func:`propagator` takes exp(-i H t)
+from the eigendecomposition of the Hermitian H.  A time-dependent H is a
+:class:`Drive`, H(t) = h0 + f(t) x with f the envelope of a multi-tone
+pulse, |f| <= 1, stepped by the midpoint rule exp(-i H(t_mid) dt).  The
+amplitudes c = f(t_mid) come from tone phasors, one small product per
+chunk of steps.  Every step map is one polynomial in c, sum_j c^j M_j; its
+coefficients come once per run from the exponential of a block-bidiagonal
+matrix, a Taylor sum on its first block row.  Two consecutive steps a, b
+are one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so
+the steps of a chunk become one such map per pair (and one single-step map
+for an odd last step), multiplied pairwise and taken one Newton-Schulz
+step toward unitarity.  Both evolvers check their conservation laws (norm,
 trace, positivity) at every stored sample.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
@@ -25,7 +29,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .control import PulseSegment
 from .spin import _require_finite, check_density_matrix, check_pure_state, is_hermitian
@@ -55,8 +58,13 @@ POSITIVITY_FLOOR = -1e-7
 CHUNK_BYTES = 256 * 1024
 
 #: Bound on the truncated tail of the step-map polynomial in the drive
-#: amplitude; the degree is the smallest that meets it (see evolve_unitary).
+#: amplitude and of the Taylor sum that gives its coefficients; each degree
+#: is the smallest that meets it (see evolve_unitary).
 TAYLOR_TAIL_TOL = 1e-18
+
+#: Largest 1-norm whose exponential is summed as a Taylor series unscaled;
+#: a larger matrix is halved until it is not, and the sum squared back.
+TAYLOR_SCALE_NORM = 2.0
 
 
 class IntegrationError(RuntimeError):
@@ -168,11 +176,13 @@ class Drive:
 
 
 def propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    """Unitary short-time propagator exp(-i H dt) for Hermitian H."""
+    """Unitary propagator exp(-i H dt) for Hermitian H, for any dt:
+    V exp(-i Lambda dt) V^dagger from the eigendecomposition H = V Lambda V^dagger."""
     h = np.asarray(h)
     if not is_hermitian(h):
         raise ValueError("propagator requires a Hermitian generator")
-    return scipy.linalg.expm(-1j * h * dt)
+    lam, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * dt * lam)) @ v.conj().T
 
 
 def _chunk_steps(d: int) -> int:
@@ -194,6 +204,55 @@ def _drive_terms(drive: Drive, d: int) -> tuple:
     return tuple(terms)
 
 
+def _tail_degree(a: float) -> int:
+    """The smallest degree p with a^(p+1) / (p+1)! e^a <= ``TAYLOR_TAIL_TOL``:
+    the bound on the tail past degree p of a series whose terms are at most
+    a^j / j!."""
+    p, term = 0, a
+    while term * np.exp(a) > TAYLOR_TAIL_TOL:
+        p += 1
+        term *= a / (p + 1)
+    return p
+
+
+def _bidiagonal_expm(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """E_0 ... E_p as a (p + 1, d, d) stack: the first block row of exp(T),
+    T the (p + 1)-block upper bidiagonal matrix with ``a`` on its diagonal
+    and ``b`` above it.
+
+    T's powers, and so exp(T), are block upper triangular Toeplitz, each
+    given by its first block row; the product of two is the convolution
+    (XY)_j = sum_i X_i Y_(j-i), and (TY)_j = a Y_j + b Y_(j-1).  T is
+    halved s times, until theta = ||T / 2^s||_1 <= ``TAYLOR_SCALE_NORM``;
+    the Taylor sum I + T(I + T/2 (I + ... (I + T/q))) in Horner form stops
+    at q = :func:`_tail_degree` (theta) and is squared s times.  For an
+    upper triangular ``a`` (a diagonal h0), T is upper triangular and the
+    diagonal of E_0 is set to the exponentials of a's scaled diagonal after
+    the sum and after every square, as exp(T) has it exactly (Al-Mohy &
+    Higham 2009, sec. 2).
+    """
+    theta = float((np.abs(a) + np.abs(b)).sum(axis=0).max())
+    s = int(np.ceil(np.log2(theta / TAYLOR_SCALE_NORM))) if theta > TAYLOR_SCALE_NORM else 0
+    a, b = a / 2.0 ** s, b / 2.0 ** s
+    eye = np.zeros((p + 1,) + a.shape, dtype=complex)
+    eye[0] = np.eye(len(a))
+    e = eye
+    for k in range(_tail_degree(theta / 2.0 ** s), 0, -1):
+        te = a @ e
+        te[1:] += b @ e[:-1]
+        e = eye + te / k
+    triangular = not np.tril(a, -1).any()
+    for k in range(s + 1):
+        if k:
+            square = e[0] @ e
+            for i in range(1, p + 1):
+                square[i:] += e[i] @ e[: p + 1 - i]
+            e = square
+        if triangular:
+            np.fill_diagonal(e[0], np.exp(np.diagonal(a) * 2.0 ** k))
+    return e
+
+
 def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarray:
     """M_0 ... M_p, flattened to (p + 1, d*d), with
     exp(-i (h0 + c x) dt) = sum_j c^j M_j + O(tail) for |c| <= 1.
@@ -203,7 +262,10 @@ def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarr
     the smallest degree for which that is <= ``TAYLOR_TAIL_TOL``.  The M_j
     are the first block row of the exponential of the (p+1)-block
     bidiagonal matrix with A = -i h0 dt on the diagonal and B = -i x dt
-    above it (Van Loan 1978; Najfeld & Havel 1995).
+    above it (Van Loan 1978; Najfeld & Havel 1995), from
+    :func:`_bidiagonal_expm`.  That matrix's 1-norm is below 1 at 1 ns
+    steps (0.09 at 2I = 3, 0.26 at 2I = 7), so its Taylor sum is not scaled
+    there.
     """
     a = float(np.linalg.norm(x, 2)) * dt
     if a > 1.0:
@@ -211,18 +273,8 @@ def _step_map_coefficients(h0: np.ndarray, x: np.ndarray, dt: float) -> np.ndarr
             f"drive step ||x||_2 dt = {a:.3g} > 1: the step-map series grows "
             f"before it converges; reduce dt (currently {dt})"
         )
-    p, term = 0, a
-    while term * np.exp(a) > TAYLOR_TAIL_TOL:
-        p += 1
-        term *= a / (p + 1)
-    d = h0.shape[0]
-    blocks = np.zeros((p + 1, d, p + 1, d), dtype=complex)
-    for j in range(p + 1):
-        blocks[j, :, j] = -1j * dt * h0
-        if j < p:
-            blocks[j, :, j + 1] = -1j * dt * x
-    e = scipy.linalg.expm(blocks.reshape((p + 1) * d, (p + 1) * d))
-    return e[:d].reshape(d, p + 1, d).transpose(1, 0, 2).reshape(p + 1, d * d)
+    p = _tail_degree(a)
+    return _bidiagonal_expm(-1j * dt * h0, -1j * dt * x, p).reshape(p + 1, -1)
 
 
 def _pair_coefficients(m: np.ndarray, d: int) -> np.ndarray:
@@ -234,7 +286,9 @@ def _pair_coefficients(m: np.ndarray, d: int) -> np.ndarray:
     return (m[:, None] @ m[None, :]).reshape(len(m) ** 2, d * d)
 
 
-def _pair_maps(c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: int) -> np.ndarray:
+def _pair_maps(
+    c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: int, out: np.ndarray
+) -> np.ndarray:
     """The maps of a run of steps with amplitudes ``c``, as a (k, d, d)
     stack in time order: sum_ji c_b^j c_a^i N_ji for each pair of steps
     a, b, then sum_j c^j M_j for the last step of an odd run.
@@ -242,6 +296,8 @@ def _pair_maps(c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: in
     ``coeffs`` holds the M_j and ``pair_coeffs`` the N_ji of
     :func:`_pair_coefficients`, both with real and imaginary parts
     interleaved, so the real monomials multiply them in one real product.
+    The maps are written to the first k rows of ``out``, a float array of
+    2 d^2 columns, and returned as a complex view of them.
     """
     n = len(coeffs)
     # c^0 ... c^p by repeated multiplication: np.power takes libm's slow
@@ -251,9 +307,10 @@ def _pair_maps(c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: in
     for j in range(1, n):
         np.multiply(powers[j - 1], c, out=powers[j])
     half = c.size // 2
-    # monomials[j, i, k] = c_b^j c_a^i for pair k, steps a = 2k and b = 2k + 1
-    monomials = powers[:, None, 1 : 2 * half : 2] * powers[None, :, 0 : 2 * half : 2]
-    maps = np.empty((half + c.size % 2, pair_coeffs.shape[1]))
+    # monomials[j, i, k] = c_b^j c_a^i for pair k, steps a = 2k and b = 2k + 1;
+    # einsum, unlike a broadcast product, takes no scratch buffer beside ``out``
+    monomials = np.einsum("jk,ik->jik", powers[:, 1 : 2 * half : 2], powers[:, 0 : 2 * half : 2])
+    maps = out[: half + c.size % 2]
     np.matmul(monomials.reshape(n * n, half).T, pair_coeffs, out=maps[:half])
     if c.size % 2:
         np.matmul(powers[:, -1], coeffs, out=maps[half])
@@ -263,10 +320,15 @@ def _pair_maps(c: np.ndarray, coeffs: np.ndarray, pair_coeffs: np.ndarray, d: in
 def _run_map(u: np.ndarray) -> np.ndarray:
     """u[-1] @ ... @ u[0] for a (k, d, d) stack of step maps, multiplied
     pairwise in ceil(log2 k) batched matmuls, then taken one Newton-Schulz
-    step toward the nearest unitary."""
-    while len(u) > 1:
-        products = u[1::2] @ u[0:-1:2]
-        u = np.concatenate((products, u[-1:])) if len(u) % 2 else products
+    step toward the nearest unitary.  The levels of products go back and
+    forth between one new array of half u's length and u itself, which they
+    overwrite."""
+    k, work = len(u), np.empty_like(u[: (len(u) + 1) // 2])
+    while k > 1:
+        np.matmul(u[1:k:2], u[0 : k - 1 : 2], out=work[: k // 2])
+        if k % 2:
+            work[k // 2] = u[k - 1]
+        u, work, k = work, u, (k + 1) // 2
     u = u[0]
     # Every map carries the same rounded M_0 (M_0 M_0 in a pair map), whose
     # fixed unitarity defect adds up coherently: over lab-check's 175 000
@@ -278,12 +340,18 @@ def _run_map(u: np.ndarray) -> np.ndarray:
 
 def _sample_exact(g: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """exp(g k) x0 for k = 0 ... n - 1, stacked along the first axis, where
-    ``g`` is the generator times the one gap between samples.
+    ``g`` is the generator times the one gap between samples: -i H times
+    the gap, or the Lindblad Liouvillian times it.
 
     One ``scipy.linalg.expm`` gives U = exp(g); the samples are filled by
     doubling: the known states times U, then U^2, U^4, ..., one batched
-    product each, so ceil(log2 n) products instead of n - 1.
+    product each, so ceil(log2 n) products instead of n - 1.  This is the
+    package's only use of scipy, imported here, so the commands that take
+    no sampled run (all but ``tact``, ``ramsey`` and ``decoherence``) do
+    not load it.
     """
+    import scipy.linalg  # here, not at module level: only sampled runs pay its import
+
     xs = np.empty((n,) + x0.shape, dtype=complex)
     xs[0] = x0
     power, done = scipy.linalg.expm(g).T, 1  # xs[k] @ power is xs[k + done]
@@ -318,7 +386,8 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     exponential per tone and one small product with a phasor table built
     once per call, |c| <= 1 by the segment's own checks.  In a chunk each
     pair of steps takes one pair map and an odd last step one single-step
-    map; the maps are multiplied pairwise, and their product is taken one
+    map, all written to one buffer allocated per call; the maps are
+    multiplied pairwise in place, and their product is taken one
     Newton-Schulz step toward unitarity before it acts on the state, so the
     state takes one matrix-vector product per chunk.  A drive run stores
     its first and last states only: a grid with an ``output_stride`` is
@@ -341,9 +410,14 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         h0, x = _drive_terms(h, d)
         m = _step_map_coefficients(h0, x, dt)
         coeffs, pair_coeffs = m.view(float), _pair_coefficients(m, d).view(float)
+        chunk = _chunk_steps(d)
+        # one buffer takes every chunk's maps: a new CHUNK_BYTES array per
+        # chunk costs fresh pages whenever the allocator has returned the
+        # last one to the system (~2900 page faults per lab_pulses pass)
+        maps = np.empty((chunk // 2, 2 * d * d))
         states = [psi]
-        for c in h.pulse.midpoint_amplitudes(grid.t_start, dt, grid.n_steps, _chunk_steps(d)):
-            psi = _run_map(_pair_maps(c, coeffs, pair_coeffs, d)) @ psi
+        for c in h.pulse.midpoint_amplitudes(grid.t_start, dt, grid.n_steps, chunk):
+            psi = _run_map(_pair_maps(c, coeffs, pair_coeffs, d, maps)) @ psi
         states.append(psi)
         hint = f"; reduce dt (currently {dt})"
     else:

@@ -145,10 +145,14 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
+#: The bounds a ``"real"`` value of :func:`_checked` can be held to.
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
 def _checked(value, key: str, kind: str = "real", bound=None):
     """``value`` of the dotted config key ``key`` under a rule, else an error
-    naming the key: ``"real"`` a finite real, as a float, and ``bound``
-    ("> 0" or ">= 0") if given; ``"count"`` an integer >= ``bound``;
+    naming the key: ``"real"`` a finite real, as a float, within ``bound``
+    (a key of ``_BOUNDS``) if given; ``"count"`` an integer >= ``bound``;
     ``"choice"`` one of ``bound``.  A bool is neither a real nor a count."""
     if kind == "choice":
         if value not in bound:
@@ -162,7 +166,7 @@ def _checked(value, key: str, kind: str = "real", bound=None):
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
     value = float(value)
-    if bound is not None and not (value > 0 if bound == "> 0" else value >= 0):
+    if bound is not None and not _BOUNDS[bound](value):
         raise ValueError(f"config key {key!r} must be {bound}, got {value!r}")
     return value
 
@@ -195,8 +199,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     default parameter set.  A key that :func:`config_to_dict` does not write
     is an error naming its dotted path; ``params`` is free-form.  Numbers
     must be finite reals, the two field strengths, ``omega_q_hz`` and the two
-    rates also >= 0 (checked in the config's own units), ``spin.twice_i`` an
-    integer >= 1 and ``quadrupole.euler_rad`` a list of three numbers."""
+    rates also >= 0 (checked in the config's own units) and ``quadrupole.eta``
+    in [0, 1]; ``spin.twice_i`` must be an integer >= 1,
+    ``fields.drive_axis`` ``"x"`` or ``"y"`` and ``quadrupole.euler_rad`` a
+    list of three numbers."""
     base = paper_config()
     known = config_to_dict(base)
     if not isinstance(doc, dict):
@@ -228,11 +234,11 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     fields = FieldSpec(
         gamma_b0=number("fields.gamma_b0_hz", ">= 0") * _TWO_PI,
         gamma_b1=number("fields.gamma_b1_hz", ">= 0") * _TWO_PI,
-        drive_axis=value("fields.drive_axis"),
+        drive_axis=_checked(value("fields.drive_axis"), "fields.drive_axis", "choice", ("x", "y")),
     )
     quad = QuadrupoleSpec(
         omega_q=number("quadrupole.omega_q_hz", ">= 0") * _TWO_PI,
-        eta=number("quadrupole.eta"),
+        eta=number("quadrupole.eta", "in [0, 1]"),
         euler=tuple(_checked(x, "quadrupole.euler_rad") for x in euler),
     )
     dec = DecoherenceSpec(

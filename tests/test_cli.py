@@ -2,10 +2,13 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spincat
 from spincat.cli import build_parser, main
 from spincat.scenarios import ScenarioConfig, coherence_scaling, config_to_dict, paper_config
 
@@ -174,6 +177,11 @@ def test_config_that_is_not_an_object_is_a_diagnostic_exit(tmp_path, capsys):
         ({"decoherence": {"gamma_e_per_s": -0.1}},
          "'decoherence.gamma_e_per_s' must be >= 0, got -0.1"),
         ({"spin": {"twice_i": 0}}, "'spin.twice_i' must be an integer >= 1, got 0"),
+        ({"quadrupole": {"eta": 1.5}}, "config key 'quadrupole.eta' must be in [0, 1], got 1.5"),
+        ({"quadrupole": {"eta": -0.25}},
+         "config key 'quadrupole.eta' must be in [0, 1], got -0.25"),
+        ({"fields": {"drive_axis": "z"}},
+         "config key 'fields.drive_axis' must be 'x' or 'y', got 'z'"),
     ],
 )
 def test_config_value_of_wrong_type_is_a_diagnostic_exit(tmp_path, capsys, doc, key):
@@ -616,3 +624,42 @@ def test_settable_surface_matches_its_table():
             for opt in a.option_strings
         ]
     assert found == SETTABLE
+
+
+def _loads_scipy(argvs) -> bool:
+    """Whether a fresh interpreter that runs each argv through ``main``,
+    each exiting 0, has imported scipy by the end."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import spincat.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert spincat.cli.main(argv) == 0, argv\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spincat.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.strip()]
+
+
+def test_only_the_sampled_runs_load_scipy(tmp_path):
+    # scipy.linalg.expm is left in one place, dynamics._sample_exact: the
+    # exponential of tact's constant H and of ramsey's and decoherence's
+    # Liouvillian.  The other commands run on numpy alone and skip scipy's
+    # import (~0.2 s and ~24 MiB)
+    config = tmp_path / "spin3.json"
+    config.write_text(json.dumps({"spin": {"twice_i": 3}}))
+    cfg = ["--config", str(config)]
+    assert not _loads_scipy([
+        ["lab-check", "--scale", "400", "--dt", "1e-8", *cfg],
+        ["virtual-phase", *cfg],
+        ["givens", "--mode", "create", *cfg],
+        ["oat", *cfg],
+        ["husimi", *cfg],
+    ])
+    assert _loads_scipy([["tact", *cfg]])

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from spincat.control import PulseSegment, ToneSpec, cat_schedule, rotation_duration
 from spincat.dynamics import (
     CHUNK_BYTES,
+    TAYLOR_SCALE_NORM,
     TAYLOR_TAIL_TOL,
     DecoherenceSpec,
     Drive,
@@ -87,6 +88,52 @@ def test_propagator_semigroup_and_unitarity():
 def test_propagator_rejects_non_hermitian():
     with pytest.raises(ValueError):
         propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
+
+
+def tilted_static_hamiltonian(spin, omega_q=WQ):
+    """The static Hamiltonian with an asymmetric, tilted quadrupole: not
+    diagonal in the m basis."""
+    quad = QuadrupoleSpec(omega_q=omega_q, eta=0.4, euler=(0.3, 0.7, 0.2))
+    return np.asarray(static_hamiltonian(FieldSpec(gamma_b0=GB0), quad, spin), dtype=complex)
+
+
+def mp_expm(a):
+    """exp(a) of a complex numpy matrix by 30-digit mpmath, rounded back to complex."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        e = mpmath.expm(mpmath.matrix(a.tolist()))
+        return np.array([[complex(e[r, s]) for s in range(e.cols)] for r in range(e.rows)])
+
+
+def propagator_cases(twice_i):
+    """(H, t) pairs: the first cat pulse over its duration and over 200 of
+    them (50 rotations), and the tilted lab-frame static Hamiltonian over one
+    revival period, 12.5 us, ~100 Larmor periods."""
+    spin, h1, t_half = first_cat_pulse(twice_i)
+    return [(h1, t_half), (h1, 200 * t_half), (tilted_static_hamiltonian(spin), 12.5e-6)]
+
+
+@pytest.mark.parametrize("twice_i", [1, 3, 7, 25])
+def test_propagator_matches_scipy_expm_over_many_periods(twice_i):
+    # exp(-i H t) from eigh against the oracles' exponential.  A phase error
+    # grows as eps ||H t||: measured <= 2.8 eps max(1, ||H t||), the largest
+    # 5.1e-12 at 2I = 25 over 12.5 us (||H t|| = 8.3e3); unitarity 2.9e-15
+    for h, t in propagator_cases(twice_i):
+        u = propagator(h, t)
+        scale = max(1.0, np.linalg.norm(h, 2) * t)
+        assert np.max(np.abs(u - scipy.linalg.expm(-1j * h * t))) <= 8 * np.spacing(1.0) * scale
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= 1e-14
+
+
+def test_propagator_matches_mpmath_expm():
+    # 30-digit oracle at 2I = 3: 8.6e-16 on the cat pulse (scipy 2.8e-16),
+    # 5.5e-14 over 200 of them and 1.1e-13 over 12.5 us (scipy 1.9e-14 and
+    # 8.2e-14), each <= 1.7 eps max(1, ||H t||)
+    for h, t in propagator_cases(3):
+        exact = mp_expm(-1j * h * t)
+        scale = max(1.0, np.linalg.norm(h, 2) * t)
+        assert np.max(np.abs(propagator(h, t) - exact)) <= 4 * np.spacing(1.0) * scale
 
 
 def test_free_particle_is_static():
@@ -347,7 +394,7 @@ def test_drive_run_refuses_an_output_stride():
 
 def test_drive_stepping_peak_memory_stays_below_two_chunks_of_maps():
     # a chunk's stack of 256 pair maps takes CHUNK_BYTES and its first
-    # product level half that, and the pulse's phasor table 0.22: 1.90
+    # product level half that, and the pulse's phasor table 0.22: 1.91
     # CHUNK_BYTES measured (1.66 without the table); chunks of 256
     # single-step maps peak at 2.08
     import tracemalloc
@@ -400,6 +447,34 @@ def test_step_map_coefficients_match_mpmath_expm():
     assert np.max(np.abs(coeffs - exact)) <= 2.3e-16
 
 
+@pytest.mark.parametrize("h0_kind", ["diagonal", "tilted"])
+def test_coarse_step_map_coefficients_scale_and_square_and_match_mpmath(h0_kind):
+    # 100 ns steps at 2I = 3: the block matrix has 1-norm 9.2, so the Taylor
+    # sum is scaled by 2^-3 and squared back.  With lab-check's diagonal h0
+    # the block is upper triangular and its diagonal is set exactly: 8.9e-19
+    # measured (scipy 9.7e-19, 6.0e-16 without that).  A tilted h0 takes
+    # plain squaring: 1.6e-15 (scipy 8.7e-16)
+    spin, drive, _ = lab_check_drive(twice_i=3)
+    d, dt = spin.dimension, 1e-7
+    x = np.asarray(drive.x, dtype=complex)
+    h0 = np.asarray(drive.h0, dtype=complex)
+    if h0_kind == "tilted":
+        h0 = tilted_static_hamiltonian(spin, omega_q=25 * WQ)
+    coeffs = _step_map_coefficients(h0, x, dt)
+    p = len(coeffs) - 1
+    assert p == 7
+    block = np.zeros((p + 1, d, p + 1, d), dtype=complex)
+    for j in range(p + 1):
+        block[j, :, j] = -1j * dt * h0
+        if j < p:
+            block[j, :, j + 1] = -1j * dt * x
+    block = block.reshape((p + 1) * d, (p + 1) * d)
+    assert np.abs(block).sum(axis=0).max() > 4 * TAYLOR_SCALE_NORM
+    exact = mp_expm(block)[:d].reshape(d, p + 1, d).transpose(1, 0, 2).reshape(p + 1, d * d)
+    bound = 1e-17 if h0_kind == "diagonal" else 4e-15
+    assert np.max(np.abs(coeffs - exact)) <= bound
+
+
 def test_pair_map_matches_mpmath_product_of_two_steps():
     # 30-digit oracle for the map of two 1 ns steps at 2I = 3: the pair
     # polynomial sum_ji c_b^j c_a^i N_ji against expm(A + c_b B) expm(A + c_a B)
@@ -417,7 +492,8 @@ def test_pair_map_matches_mpmath_product_of_two_steps():
         for c_a, c_b in ((-1.0, 1.0), (0.37, -0.81), (1.0, 1.0)):
             u = mpmath.expm(a + c_b * b) * mpmath.expm(a + c_a * b)
             u = np.array([[complex(u[r, s]) for s in range(d)] for r in range(d)])
-            maps = _pair_maps(np.array([c_a, c_b]), coeffs, pair_coeffs, d)
+            out = np.empty((1, 2 * d * d))
+            maps = _pair_maps(np.array([c_a, c_b]), coeffs, pair_coeffs, d, out)
             assert maps.shape == (1, d, d)
             # 2.2e-16 measured: two ulp at |u_rs| ~ 1, plus twice the tail bound
             assert np.max(np.abs(maps[0] - u)) <= 2 * np.spacing(1.0) + 2 * TAYLOR_TAIL_TOL
