@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 bench/layers.py --out BENCH_<n>.json [--src DIR] [--repeats 21]
+    python3 bench/layers.py --out BENCH_<n>.json [--src DIR]
 
 For each 2I in ``TWICE_I`` it times, in this process:
 
@@ -16,7 +16,7 @@ Each layer and spin is one case.  A sample times enough back-to-back calls
 to last ``MIN_SAMPLE_S`` and records the time per call; the cases take turns
 within a round, in reverse order on odd rounds, so that a slow stretch of
 the host is spread over all of them.  The file holds each case's median and
-quartiles over ``--repeats`` rounds.  It also times ``COLD_IMPORTS`` fresh
+quartiles over ``REPEATS`` rounds.  It also times ``COLD_IMPORTS`` fresh
 interpreters that import ``spincat.cli``: the import alone, spawn to exit,
 the child's peak RSS and whether scipy was loaded.  ``--src`` points at the
 ``src`` directory of the tree to measure (default: the one next to this
@@ -45,6 +45,7 @@ TWICE_I = (1, 3, 7, 9, 25)
 SCALE = 20.0  # lab-check's default joint scale of gamma*B1 and omega_q
 DRIVE_STEPS = 10_000
 MIN_SAMPLE_S = 2e-3
+REPEATS = 21
 COLD_IMPORTS = 11
 
 _IMPORT_PROBE = """
@@ -104,11 +105,11 @@ def _calls_per_sample(fn) -> int:
         n *= 2
 
 
-def time_layers(repeats: int) -> dict:
+def time_layers() -> dict:
     cases = _cases()
     calls = [_calls_per_sample(fn) for _, _, fn, _ in cases]  # also warms each case up
     samples = [[] for _ in cases]
-    for r in range(repeats):
+    for r in range(REPEATS):
         order = range(len(cases)) if r % 2 == 0 else reversed(range(len(cases)))
         for i in order:
             fn = cases[i][2]
@@ -180,19 +181,16 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--src", default=os.path.join(ROOT, "src"), help="src directory of the tree to measure")
-    p.add_argument("--repeats", type=int, default=21, help="rounds over the cases")
     args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be >= 1")
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     doc = {
         "script": "bench/layers.py",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "twice_i": list(TWICE_I),
         "lab_scale": SCALE,
         "cold_import": cold_import(src, COLD_IMPORTS),
-        "layers": time_layers(args.repeats),
+        "layers": time_layers(),
         "environment": environment(src),
     }
     with open(args.out, "w") as fh:

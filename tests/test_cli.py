@@ -651,7 +651,7 @@ def test_only_the_sampled_runs_load_scipy(tmp_path):
     # scipy.linalg.expm is left in one place, dynamics._sample_exact: the
     # exponential of tact's constant H and of ramsey's and decoherence's
     # Liouvillian.  The other commands run on numpy alone and skip scipy's
-    # import (~0.2 s and ~24 MiB)
+    # import (~0.25 s and ~25 MiB)
     config = tmp_path / "spin3.json"
     config.write_text(json.dumps({"spin": {"twice_i": 3}}))
     cfg = ["--config", str(config)]
@@ -661,5 +661,6 @@ def test_only_the_sampled_runs_load_scipy(tmp_path):
         ["givens", "--mode", "create", *cfg],
         ["oat", *cfg],
         ["husimi", *cfg],
+        ["coherence-scaling", *cfg],
     ])
     assert _loads_scipy([["tact", *cfg]])
