@@ -6,11 +6,19 @@ Usage, from the repository root:
 
 For each 2I in ``TWICE_I`` it times, in this process:
 
+- ``spin_operators``: the operator set of the spin;
 - ``propagator``: exp(-i H t) of the first cat pulse over its duration;
+- ``evolve_lindblad_step``: the first cat pulse as ``spincat ramsey`` takes
+  it, one exact Lindblad step from |I, I> at the paper rates;
+- ``cat_signal``: the gap sweep of ``spincat ramsey`` (``scenarios._cat_signal``)
+  over ``CAT_GAPS`` gaps spanning two and a half revival periods, recorded
+  per call and as gaps/s;
 - ``step_map_1ns`` and ``step_map_100ns``: the step-map coefficients of the
   lab-check drive (``dynamics._step_map_coefficients``) at 1 ns and 100 ns;
 - ``evolve_unitary_drive``: ``DRIVE_STEPS`` 1 ns steps of the lab-check
-  pulse, as ``spincat lab-check`` runs it, from |I, I>.
+  pulse, as ``spincat lab-check`` runs it, from |I, I>;
+- ``husimi_q`` and ``save_husimi``: the Husimi table of a coherent state on
+  the default 181 x 361 grid, computed, and written to a temporary file.
 
 Each layer and spin is one case.  A sample times enough back-to-back calls
 to last ``MIN_SAMPLE_S`` and records the time per call; the cases take turns
@@ -35,6 +43,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import replace
 
@@ -44,6 +53,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TWICE_I = (1, 3, 7, 9, 25)
 SCALE = 20.0  # lab-check's default joint scale of gamma*B1 and omega_q
 DRIVE_STEPS = 10_000
+CAT_GAPS = 1251
 MIN_SAMPLE_S = 2e-3
 REPEATS = 21
 COLD_IMPORTS = 11
@@ -57,21 +67,40 @@ print(t1 - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "sci
 """
 
 
-def _cases():
-    """(layer, 2I, zero-argument callable, steps per call or None) per case."""
+def _cases(scratch: str):
+    """(layer, 2I, zero-argument callable, (unit, count) per call or None)
+    per case; ``save_husimi`` writes into the directory ``scratch``."""
     from spincat.control import cat_schedule, rotation_duration
-    from spincat.dynamics import TimeGrid, _step_map_coefficients, evolve_unitary, propagator
+    from spincat.dynamics import (
+        TimeGrid, _step_map_coefficients, evolve_lindblad, evolve_unitary, propagator,
+    )
     from spincat.hamiltonian import static_hamiltonian
-    from spincat.scenarios import _lab_hamiltonian, _ladder, _pulse_pair, paper_config
-    from spincat.spin import eigenstate
+    from spincat.observables import husimi_q, save_husimi
+    from spincat.scenarios import _cat_signal, _lab_hamiltonian, _ladder, _pulse_pair, paper_config
+    from spincat.spin import coherent_state, eigenstate, spin_operators
 
     cases = []
     for twice_i in TWICE_I:
         cfg = paper_config(twice_i=twice_i)
         spin = cfg.spin
+        cases.append(("spin_operators", twice_i, lambda s=spin: spin_operators(s), None))
         t_half = rotation_duration(spin, cfg.fields.gamma_b1, np.pi / 2)
-        h1, _, _ = _pulse_pair(cfg, _ladder(cfg), t_half, cfg.fields.gamma_b0)
+        omega_ref = cfg.fields.gamma_b0
+        h1, _, _ = _pulse_pair(cfg, _ladder(cfg), t_half, omega_ref)
         cases.append(("propagator", twice_i, lambda h=h1, t=t_half: propagator(h, t), None))
+        psi0 = eigenstate(spin, spin.i)
+        rho0 = np.outer(psi0, psi0.conj())
+        pulse = TimeGrid(0.0, t_half, dt=t_half)
+        cases.append((
+            "evolve_lindblad_step", twice_i,
+            lambda h=h1, r=rho0, g=pulse, dec=cfg.decoherence: evolve_lindblad(h, r, dec, g), None,
+        ))
+        gaps = np.linspace(0.0, 1.25 / (cfg.quad.omega_q / (2 * np.pi)), CAT_GAPS)
+        cases.append((
+            "cat_signal", twice_i,
+            lambda c=cfg, w=omega_ref, t=gaps: _cat_signal(c, c.decoherence, w, t),
+            ("gaps", CAT_GAPS),
+        ))
 
         # the lab-check drive, as multitone_lab_validation builds it
         fields = replace(cfg.fields, gamma_b1=cfg.fields.gamma_b1 * SCALE)
@@ -85,11 +114,15 @@ def _cases():
         for label, dt in (("step_map_1ns", 1e-9), ("step_map_100ns", 1e-7)):
             cases.append((label, twice_i, lambda dt=dt, h0=h0, x=x: _step_map_coefficients(h0, x, dt), None))
         grid = TimeGrid(0.0, DRIVE_STEPS * 1e-9, dt=1e-9)
-        psi0 = eigenstate(spin, spin.i)
         cases.append((
             "evolve_unitary_drive", twice_i,
-            lambda d=drive, p=psi0, g=grid: evolve_unitary(d, p, g), grid.n_steps,
+            lambda d=drive, p=psi0, g=grid: evolve_unitary(d, p, g), ("steps", grid.n_steps),
         ))
+        state = coherent_state(spin, 1.1, 0.4)
+        cases.append(("husimi_q", twice_i, lambda p=state, s=spin: husimi_q(p, s), None))
+        table = husimi_q(state, spin)
+        path = os.path.join(scratch, f"husimi_2I{twice_i}.csv")
+        cases.append(("save_husimi", twice_i, lambda q=table, f=path: save_husimi(q, f), None))
     return cases
 
 
@@ -105,8 +138,8 @@ def _calls_per_sample(fn) -> int:
         n *= 2
 
 
-def time_layers() -> dict:
-    cases = _cases()
+def time_layers(scratch: str) -> dict:
+    cases = _cases(scratch)
     calls = [_calls_per_sample(fn) for _, _, fn, _ in cases]  # also warms each case up
     samples = [[] for _ in cases]
     for r in range(REPEATS):
@@ -118,11 +151,12 @@ def time_layers() -> dict:
                 fn()
             samples[i].append((time.perf_counter() - t0) / calls[i])
     layers = {}
-    for (layer, twice_i, _, steps), n, xs in zip(cases, calls, samples):
+    for (layer, twice_i, _, units), n, xs in zip(cases, calls, samples):
         q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
         row = {"median_s": median, "q1_s": q1, "q3_s": q3, "calls_per_sample": n}
-        if steps:
-            row.update(steps=steps, steps_per_s=steps / median)
+        if units:
+            unit, count = units
+            row.update({unit: count, f"{unit}_per_s": count / median})
         layers.setdefault(layer, {})[str(twice_i)] = row
     return layers
 
@@ -184,15 +218,17 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
-    doc = {
-        "script": "bench/layers.py",
-        "repeats": REPEATS,
-        "twice_i": list(TWICE_I),
-        "lab_scale": SCALE,
-        "cold_import": cold_import(src, COLD_IMPORTS),
-        "layers": time_layers(),
-        "environment": environment(src),
-    }
+    with tempfile.TemporaryDirectory() as scratch:
+        doc = {
+            "script": "bench/layers.py",
+            "repeats": REPEATS,
+            "twice_i": list(TWICE_I),
+            "lab_scale": SCALE,
+            "cat_gaps": CAT_GAPS,
+            "cold_import": cold_import(src, COLD_IMPORTS),
+            "layers": time_layers(scratch),
+            "environment": environment(src),
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

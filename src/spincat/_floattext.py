@@ -40,14 +40,6 @@ import numpy as np
 
 __all__ = ["float_words"]
 
-#: Values formatted per pass.  A pass costs ~120 us of numpy call overhead
-#: at any size (timed on 16 values).  On a 2-vCPU VM the 65 341 values of a
-#: 2I = 25 Husimi grid take ~10 ms at 4096 a pass, ~12 ms at 2048 and
-#: ~9.4 ms at 8192, but a pass's temporaries (a traced peak of ~1.4 MB at
-#: 4096, mostly (3, n) and (2, 3, n) uint64 arrays) grow with it.  A table
-#: writer's block of 11 x 361 Husimi lines is one pass.
-_BLOCK = 4096
-
 _K_MIN, _K_MAX = -324, 292  # decimal exponents k of the double's range
 _P_MIN, _P_MAX = -323, 309  # p of 5e-324 .. 1.7976931348623157e308
 _MASK32 = np.uint64(0xFFFFFFFF)
@@ -198,8 +190,13 @@ def _digit_bytes(v: np.ndarray) -> np.ndarray:
     return hi | (v - hi * 10) << 8
 
 
-def _format_block(x: np.ndarray, out: np.ndarray, sep: int) -> None:
-    """Write the words of ``float_words`` for one block of x into out."""
+def float_words(x, out: np.ndarray, sep: int = 0) -> None:
+    """Write into each row of out, an (n, 4) uint64 array, the four words
+    of the text of one value of x (flattened, n values): NUL-padded
+    ``repr(float(value))`` in its first 31 bytes and byte ``sep`` in its
+    last.  The temporaries grow with n: the table writer passes at most
+    ``observables._BLOCK_ROWS`` values a call."""
+    x = np.ravel(np.asarray(x, dtype=np.float64))
     bits = x.view(np.uint64)
     mag = bits & _MASK63
     special = mag - 1 >= _LAST_FINITE  # zeros, infinities and NaN
@@ -240,14 +237,3 @@ def _format_block(x: np.ndarray, out: np.ndarray, sep: int) -> None:
         rows[:, 0] = _SPECIAL[np.where(np.isnan(xs), 2, 3 * np.isinf(xs) + np.signbit(xs))]
         rows[:, 3] = sep << 56
         out[special] = rows
-
-
-def float_words(x, out: np.ndarray, sep: int = 0) -> None:
-    """Write into each row of out, an (n, 4) uint64 array, the four words
-    of the text of one value of x (flattened, n values): NUL-padded
-    ``repr(float(value))`` in its first 31 bytes and byte ``sep`` in its
-    last."""
-    x = np.ravel(np.asarray(x, dtype=np.float64))
-    for i in range(0, len(x), _BLOCK):
-        _format_block(x[i : i + _BLOCK], out[i : i + _BLOCK], sep)
-

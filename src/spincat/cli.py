@@ -15,9 +15,10 @@ import numpy as np
 
 from ._version import __version__
 from .dynamics import LAB_FRAME_DT, IntegrationError
-from .observables import _write_table, husimi_q, save_husimi, save_size_series
+from .observables import husimi_q, save_coherence_table, save_husimi, save_report, save_size_series
 from .scenarios import (
     ScenarioConfig,
+    _checked,
     _twisted,
     _twisting,
     coherence_scaling,
@@ -35,6 +36,33 @@ from .scenarios import (
 from .spin import coherent_state
 
 _TWO_PI = 2 * np.pi
+
+#: The rule of each numeric flag, by its namespace entry: the ``kind`` and
+#: ``bound`` of :func:`scenarios._checked`.  A list flag holds each value
+#: to the rule.
+_FLAG_RULES = {
+    "dt": ("real", "> 0"),
+    "scale": ("real", "> 0"),
+    "time_fraction": ("real", "> 0"),
+    "n_theta": ("count", 2),
+    "n_phi": ("count", 2),
+    "spins": ("count", 1),
+    "eta": ("real", "in [0, 1]"),
+    "b0_hz": ("real", ">= 0"),
+    "gamma_m": ("real", ">= 0"),
+    "gamma_e": ("real", ">= 0"),
+}
+
+
+def _check_flags(args) -> None:
+    """Hold every numeric flag given to its rule in ``_FLAG_RULES``, before
+    any case runs; a bad value is an error naming the flag and the value."""
+    for dest, rule in _FLAG_RULES.items():
+        values = getattr(args, dest, None)
+        if values is None:  # not a flag of this command, or a list flag not given
+            continue
+        for value in values if isinstance(values, list) else [values]:
+            _checked(value, "--" + dest.replace("_", "-"), *rule)
 
 
 def _require_distinct_names(flag: str, values, text) -> None:
@@ -89,17 +117,12 @@ def _cmd_virtual_phase(cfg, args, out) -> None:
         f"phase increments (rad) = {(np.round(result.phase_increments, 6) + 0.0).tolist()}"
     )
     if out:
-        with open(os.path.join(out, "virtual_phase_report.json"), "w") as fh:
-            json.dump(
-                {
-                    "fidelity": result.fidelity,
-                    "phase_increments_rad": result.phase_increments.tolist(),
-                    "final_populations": (np.abs(result.final_state) ** 2).tolist(),
-                },
-                fh,
-                indent=2,
-                allow_nan=False,
-            )
+        report = {
+            "fidelity": result.fidelity,
+            "phase_increments_rad": result.phase_increments.tolist(),
+            "final_populations": (np.abs(result.final_state) ** 2).tolist(),
+        }
+        save_report(report, os.path.join(out, "virtual_phase_report.json"))
         save_husimi(
             husimi_q(result.final_state, cfg.spin),
             os.path.join(out, "virtual_phase_husimi.csv"),
@@ -117,20 +140,15 @@ def _cmd_givens(cfg, args, out) -> None:
         f"fidelity to |I,-I> = {result.end_fidelity:.6f}"
     )
     if out:
-        with open(os.path.join(out, f"givens_{args.mode}_report.json"), "w") as fh:
-            json.dump(
-                {
-                    "mode": result.mode,
-                    "n_pulses": len(result.schedule.segments),
-                    "total_duration_s": result.schedule.t_end,
-                    "oat_period_s": result.oat_period if np.isfinite(result.oat_period) else None,
-                    "edge_populations": list(result.edge_populations),
-                    "fidelity_to_bottom": result.end_fidelity,
-                },
-                fh,
-                indent=2,
-                allow_nan=False,
-            )
+        report = {
+            "mode": result.mode,
+            "n_pulses": len(result.schedule.segments),
+            "total_duration_s": result.schedule.t_end,
+            "oat_period_s": result.oat_period if np.isfinite(result.oat_period) else None,
+            "edge_populations": list(result.edge_populations),
+            "fidelity_to_bottom": result.end_fidelity,
+        }
+        save_report(report, os.path.join(out, f"givens_{args.mode}_report.json"))
 
 
 def _cmd_decoherence(cfg, args, out) -> None:
@@ -159,12 +177,7 @@ def _cmd_coherence_scaling(cfg, args, out) -> None:
             f"|rho_I,-I| = {row.coherence:.6e} (analytic {row.analytic:.6e})"
         )
     if out:
-        _write_table(
-            os.path.join(out, "coherence_vs_dimension.csv"),
-            ["twice_i,dimension,coherence,analytic"],
-            [[row.coherence, row.analytic] for row in rows],
-            [f"{row.twice_i},{row.dimension}" for row in rows],
-        )
+        save_coherence_table(rows, os.path.join(out, "coherence_vs_dimension.csv"))
 
 
 def _cmd_tact(cfg, args, out) -> None:
@@ -197,8 +210,6 @@ def _cmd_tact(cfg, args, out) -> None:
 
 
 def _cmd_husimi(cfg, args, out) -> None:
-    if not (np.isfinite(args.time_fraction) and args.time_fraction > 0):
-        raise ValueError(f"--time-fraction must be a finite number > 0, got {args.time_fraction}")
     spin = cfg.spin
     omega = _twisting(cfg)
     t = args.time_fraction * np.pi / abs(omega)
@@ -218,8 +229,6 @@ def _cmd_husimi(cfg, args, out) -> None:
 
 
 def _cmd_lab_check(cfg, args, out) -> None:
-    if not (np.isfinite(args.scale) and args.scale > 0):
-        raise ValueError(f"--scale must be a finite number > 0, got {args.scale}")
     result = multitone_lab_validation(cfg, scale=args.scale, dt=args.dt)
     print(
         f"lab-check: scale = {result.scale:g}, {result.n_steps} steps of "
@@ -304,13 +313,14 @@ _NOT_EXTRAS = ("command", "func", "config", "out")
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  With ``--out`` the output directory is created
-    before the scenario runs, and a manifest follows its tables: the config
-    echo, the wall time and, under ``extras``, every other flag, so the run
-    replays from it."""
+    """Run one subcommand.  The numeric flags are checked first.  With
+    ``--out`` the output directory is created before the scenario runs, and
+    a manifest follows its tables: the config echo, the wall time and, under
+    ``extras``, every other flag, so the run replays from it."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         cfg = _load_config(args)
         t0 = time.time()
         out = args.out

@@ -446,8 +446,7 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     d = rho.shape[0]
     if np.shape(h) != (d, d):
-        got = "a callable" if callable(h) else f"shape {np.shape(h)}"
-        raise ValueError(f"h must be a constant array of shape {(d, d)}, got {got}")
+        raise ValueError(f"h must be a constant array of shape {(d, d)}, got shape {np.shape(h)}")
     h = np.asarray(h, dtype=complex)
     m = (d - 1 - 2 * np.arange(d)) / 2  # m ladder inferred from dimension
     one = np.eye(d)

@@ -1,15 +1,15 @@
 """Measured quantities: degree of superposition, Husimi Q distributions and
-cat coherence."""
+cat coherence, and the writers of every table and report a command writes."""
 
 from __future__ import annotations
 
-import math
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _floattext
-from .spin import DM_HERMITICITY_TOL, SpinQuantum, is_hermitian
+from .spin import SpinQuantum, _coherent_amplitudes, is_hermitian
 
 __all__ = [
     "HusimiGrid",
@@ -20,10 +20,18 @@ __all__ = [
     "cat_coherence",
     "save_size_series",
     "save_husimi",
+    "save_coherence_table",
+    "save_report",
 ]
 
 #: Lines of a table formatted and written at a time, rounded down to whole
-#: cycles of its keys (11 x 361 = 3971 lines of a default Husimi grid).
+#: cycles of its keys (11 x 361 = 3971 lines of a default Husimi grid), and
+#: so the most values :func:`_floattext.float_words` formats in one call.
+#: A call costs ~120 us of numpy call overhead at any size (timed on 16
+#: values).  On a 2-vCPU VM the 65 341 values of a 2I = 25 Husimi grid take
+#: ~10 ms at 4096 a call, ~12 ms at 2048 and ~9.4 ms at 8192, but a call's
+#: temporaries (a traced peak of ~1.4 MB at 4096, mostly (3, n) and
+#: (2, 3, n) uint64 arrays) grow with it.
 _BLOCK_ROWS = 4096
 
 #: Rounding allowance on a negative variance, relative to max(1, <O^2>).
@@ -150,53 +158,43 @@ def husimi_q(
     n_theta: int = 181,
     n_phi: int = 361,
 ) -> HusimiGrid:
-    """Husimi Q(theta, phi) = (2I+1)/(4 pi) <coh(theta,phi)| rho |coh(theta,phi)>.
+    """Husimi Q(theta, phi) = (2I+1)/(4 pi) |<coh(theta,phi)|psi>|^2 of the
+    state vector psi = ``state``, the squared overlap with the coherent state.
 
     The coherent amplitudes factor into a real theta part and a phase,
-    <j|coh> = A[theta, j] exp(-i m_j phi) with
-    A = sqrt(C(2I, j)) cos(theta/2)^(2I-j) sin(theta/2)^j, so
-    Q = (2I+1)/(4 pi) sum_jk A_j A_k rho_jk exp(i (k - j) phi): the terms on
-    one diagonal s = k - j of rho share their phase, and Hermiticity pairs
-    s with -s.  Summing each diagonal over j leaves one (n_theta, d) x
-    (d, n_phi) product, so memory scales with the output grid, not with
-    d x grid.  A pure state enters as rho = psi psi^dagger; a density
-    matrix must be Hermitian within 1e-10.
+    <m|coh> = A[theta, I-m] exp(-i m phi) with A from
+    :func:`spin._coherent_amplitudes`, so the overlaps on the whole grid are
+    one (n_theta, d) x (d, n_phi) product of A psi with exp(i m phi), and
+    memory scales with the output grid, not with d x grid.
 
     Each axis needs at least 2 points, or the grid spans no area and its
     sphere integral is meaningless."""
     for name, n in (("n_theta", n_theta), ("n_phi", n_phi)):
         if n < 2:
             raise ValueError(f"husimi grid size {name} must be >= 2, got {n}")
-    state = np.asarray(state)
-    if state.ndim == 1:
-        state = np.outer(state, state.conj())
-    elif not is_hermitian(state, DM_HERMITICITY_TOL):
-        raise ValueError("husimi_q needs a pure state or a density matrix Hermitian within 1e-10")
+    psi = np.asarray(state)
+    if psi.shape != (spin.dimension,):
+        raise ValueError(
+            f"husimi_q takes a state vector of shape {(spin.dimension,)}, got shape {psi.shape}"
+        )
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2 * np.pi, n_phi)
-    d = spin.dimension
-    idx = np.arange(d)  # I - m
-    binom = np.array([math.comb(spin.twice_i, int(k)) for k in idx])
-    half = thetas[:, None] / 2
-    amp = np.sqrt(binom) * np.cos(half) ** (spin.twice_i - idx) * np.sin(half) ** idx
-    diagonals = np.stack(
-        [(amp[:, : d - s] * amp[:, s:]) @ np.diagonal(state, s) for s in idx], axis=1
+    overlaps = (_coherent_amplitudes(spin, thetas) * psi) @ np.exp(
+        1j * np.multiply.outer(spin.m_values, phis)
     )
-    diagonals[:, 1:] *= 2
-    values = (diagonals @ np.exp(1j * np.multiply.outer(idx, phis))).real
-    values *= d / (4 * np.pi)
-    return HusimiGrid(spin=spin, thetas=thetas, phis=phis, values=np.clip(values, 0.0, None))
+    values = overlaps.real ** 2 + overlaps.imag ** 2
+    values *= spin.dimension / (4 * np.pi)
+    return HusimiGrid(spin=spin, thetas=thetas, phis=phis, values=values)
 
 
-def cat_coherence(state: np.ndarray, spin: SpinQuantum) -> float:
-    """Magnitude of the extreme off-diagonal element |rho_{m=I, m'=-I}|."""
-    state = np.asarray(state)
+def cat_coherence(rho: np.ndarray, spin: SpinQuantum) -> float:
+    """Magnitude of the extreme off-diagonal element |rho_{m=I, m'=-I}| of
+    the density matrix ``rho``."""
+    rho = np.asarray(rho)
     d = spin.dimension
-    if state.shape[0] != d:
-        raise ValueError("state dimension does not match spin")
-    if state.ndim == 1:
-        return float(abs(state[0] * np.conj(state[d - 1])))
-    return float(abs(state[0, d - 1]))
+    if rho.shape != (d, d):
+        raise ValueError(f"density matrix must have shape {(d, d)}, got shape {rho.shape}")
+    return float(abs(rho[0, d - 1]))
 
 
 def _cell_text(cells) -> np.ndarray:
@@ -273,3 +271,21 @@ def save_husimi(grid: HusimiGrid, path, header_extra: str = "") -> None:
     header = [f"twice_i: {grid.spin.twice_i}", f"convention: {HUSIMI_CONVENTION}",
               header_extra, "theta_rad,phi_rad,Q"]
     _write_table(path, filter(None, header), grid.values.reshape(-1, 1), grid.phis, grid.thetas)
+
+
+def save_coherence_table(rows, path) -> None:
+    """Write the (twice_i, dimension, coherence, analytic) table of
+    ``spincat coherence-scaling``, one line per row of
+    :func:`scenarios.coherence_scaling`."""
+    _write_table(
+        path,
+        ["twice_i,dimension,coherence,analytic"],
+        [[row.coherence, row.analytic] for row in rows],
+        [f"{row.twice_i},{row.dimension}" for row in rows],
+    )
+
+
+def save_report(doc: dict, path) -> None:
+    """Write a JSON report, strict JSON (no NaN or infinity) indented by 2."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)

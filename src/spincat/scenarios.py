@@ -153,21 +153,24 @@ def _checked(value, key: str, kind: str = "real", bound=None):
     """``value`` of the dotted config key ``key`` under a rule, else an error
     naming the key: ``"real"`` a finite real, as a float, within ``bound``
     (a key of ``_BOUNDS``) if given; ``"count"`` an integer >= ``bound``;
-    ``"choice"`` one of ``bound``.  A bool is neither a real nor a count."""
+    ``"choice"`` one of ``bound``.  A bool is neither a real nor a count.
+    A ``key`` that starts with ``--`` is a command-line flag and is named as
+    it is."""
+    name = key if key.startswith("--") else f"config key {key!r}"
     if kind == "choice":
         if value not in bound:
             names = ", ".join(map(repr, bound[:-1]))
-            raise ValueError(f"config key {key!r} must be {names} or {bound[-1]!r}, got {value!r}")
+            raise ValueError(f"{name} must be {names} or {bound[-1]!r}, got {value!r}")
         return value
     if kind == "count":
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < bound:
-            raise ValueError(f"config key {key!r} must be an integer >= {bound}, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= {bound}, got {value!r}")
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     value = float(value)
     if bound is not None and not _BOUNDS[bound](value):
-        raise ValueError(f"config key {key!r} must be {bound}, got {value!r}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
     return value
 
 

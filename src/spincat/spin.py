@@ -91,8 +91,6 @@ class SpinOperators:
     Ix: np.ndarray
     Iy: np.ndarray
     Iz: np.ndarray
-    Iplus: np.ndarray
-    Iminus: np.ndarray
     Isq: np.ndarray
 
 
@@ -102,11 +100,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def spin_operators(spin: SpinQuantum) -> SpinOperators:
-    """Construct Ix, Iy, Iz, I+, I- and I^2 for the given spin.
+    """Construct Ix, Iy, Iz and I^2 for the given spin.
 
-    Iz is diagonal with entries m = I..-I; I+ carries the ladder elements
-    sqrt(I(I+1) - m(m+1)) on the superdiagonal of that ordering;
-    Ix = (I+ + I-)/2 and Iy = (I+ - I-)/2i; I^2 = I(I+1) * identity.
+    Iz is diagonal with entries m = I..-I; the raising operator I+ carries
+    the ladder elements sqrt(I(I+1) - m(m+1)) on the superdiagonal of that
+    ordering; Ix = (I+ + I-)/2 and Iy = (I+ - I-)/2i with I- = (I+)^dagger;
+    I^2 = I(I+1) * identity.
     """
     d = spin.dimension
     m = spin.m_values
@@ -116,7 +115,7 @@ def spin_operators(spin: SpinQuantum) -> SpinOperators:
     for idx in range(1, d):
         mm = m[idx]
         iplus[idx - 1, idx] = math.sqrt(i * (i + 1) - mm * (mm + 1))
-    iminus = iplus.conj().T.copy()
+    iminus = iplus.conj().T
     ix = (iplus + iminus) / 2
     iy = (iplus - iminus) / 2j
     isq = i * (i + 1) * np.eye(d, dtype=complex)
@@ -125,8 +124,6 @@ def spin_operators(spin: SpinQuantum) -> SpinOperators:
         Ix=_frozen(ix),
         Iy=_frozen(iy),
         Iz=_frozen(iz),
-        Iplus=_frozen(iplus),
-        Iminus=_frozen(iminus),
         Isq=_frozen(isq),
     )
 
@@ -138,38 +135,33 @@ def eigenstate(spin: SpinQuantum, m: float) -> np.ndarray:
     return _frozen(psi)
 
 
+def _coherent_amplitudes(spin: SpinQuantum, theta) -> np.ndarray:
+    """The real amplitudes A_j = sqrt(C(2I, j)) cos(theta/2)^(2I-j) sin(theta/2)^j
+    of the coherent state at polar angle ``theta`` on the levels j = I - m:
+    a (d,) array for one angle, (n, d) for an array of n angles."""
+    j = np.arange(spin.dimension)
+    binom = np.array([math.comb(spin.twice_i, int(k)) for k in j], dtype=float)
+    half = np.divide(theta, 2)
+    cos_powers = np.power.outer(np.cos(half), spin.twice_i - j)
+    return np.sqrt(binom) * cos_powers * np.power.outer(np.sin(half), j)
+
+
 def coherent_state(spin: SpinQuantum, theta: float, phi: float) -> np.ndarray:
     """Spin coherent state exp(-i phi Iz) exp(-i theta Iy) |I, I>.
 
     This is the minimum-uncertainty state pointing along the Bloch-sphere
     direction (theta, phi).  Amplitudes are computed in closed form,
-
-        c_m = sqrt(C(2I, I-m)) cos(theta/2)^(I+m) sin(theta/2)^(I-m) e^(-i phi m),
-
-    which is fast enough to evaluate on dense spherical grids.
+    c_m = A_(I-m) e^(-i phi m) with A from :func:`_coherent_amplitudes`.
     """
-    d = spin.dimension
-    twice_i = spin.twice_i
-    m = spin.m_values
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    idx = np.arange(d)  # equals I - m
-    binom = np.array([math.comb(twice_i, int(k)) for k in idx], dtype=float)
-    amps = np.sqrt(binom) * c ** (twice_i - idx) * s ** idx
-    psi = amps * np.exp(-1j * phi * m)
+    psi = _coherent_amplitudes(spin, theta) * np.exp(-1j * phi * spin.m_values)
     return _frozen(psi.astype(complex))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL):
-    """Check Hermiticity to relative Frobenius-norm tolerance.
-
-    A (d, d) matrix gives one bool; a stack of shape (..., d, d) gives a
-    boolean array with one verdict per matrix.
-    """
+def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Check that the (d, d) matrix ``a`` is Hermitian to relative
+    Frobenius-norm tolerance."""
     a = np.asarray(a)
-    scale = np.maximum(np.linalg.norm(a, axis=(-2, -1)), 1.0)
-    ok = np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale
-    return bool(ok) if ok.ndim == 0 else ok
+    return bool(np.linalg.norm(a - a.conj().swapaxes(-1, -2)) <= tol * max(np.linalg.norm(a), 1.0))
 
 
 def _require_finite(spec, *names) -> None:

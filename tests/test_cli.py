@@ -1,5 +1,7 @@
 import argparse
+import ast
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import spincat
+import spincat.cli
 from spincat.cli import build_parser, main
 from spincat.scenarios import ScenarioConfig, coherence_scaling, config_to_dict, paper_config
 
@@ -103,7 +106,7 @@ def test_husimi_command(tmp_path, capsys):
 def test_lab_check_rejects_nan_dt(capsys):
     rc = main(["lab-check", "--dt", "nan"])
     assert rc == 2
-    assert "dt must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "spincat: error: --dt must be a finite number, got nan\n"
 
 
 def test_husimi_without_twisting_is_a_diagnostic_exit(tmp_path, capsys):
@@ -118,7 +121,7 @@ def test_husimi_without_twisting_is_a_diagnostic_exit(tmp_path, capsys):
 def test_lab_check_rejects_zero_dt(capsys):
     rc = main(["lab-check", "--dt", "0", "--scale", "400"])
     assert rc == 2
-    assert "dt must be positive, got 0.0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "spincat: error: --dt must be > 0, got 0.0\n"
 
 
 @pytest.mark.parametrize(
@@ -195,7 +198,7 @@ def test_config_value_of_wrong_type_is_a_diagnostic_exit(tmp_path, capsys, doc, 
 def test_non_finite_rate_flag_is_a_diagnostic_exit(capsys):
     rc = main(["decoherence", "--gamma-m", "nan"])
     assert rc == 2
-    assert "gamma_m must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "spincat: error: --gamma-m must be a finite number, got nan\n"
 
 
 @pytest.mark.parametrize(
@@ -277,18 +280,48 @@ def test_coherence_scaling_reads_gamma_m_from_the_decoherence_section(tmp_path, 
     np.testing.assert_allclose(table[:, 2], want, rtol=1e-6, atol=0)
 
 
+#: The message of a flag value that ``_checked``'s "> 0" rule refuses.
+NOT_POSITIVE = {
+    "0": "must be > 0, got 0.0",
+    "-1": "must be > 0, got -1.0",
+    "nan": "must be a finite number, got nan",
+    "inf": "must be a finite number, got inf",
+}
+
+
 @pytest.mark.parametrize("fraction", ["0", "nan"])
 def test_husimi_time_fraction_must_be_positive(capsys, fraction):
     rc = main(["husimi", "--time-fraction", fraction])
     assert rc == 2
-    assert "--time-fraction must be a finite number > 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"spincat: error: --time-fraction {NOT_POSITIVE[fraction]}\n"
 
 
 @pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
 def test_lab_check_scale_must_be_positive(capsys, scale):
     rc = main(["lab-check", "--scale", scale])
     assert rc == 2
-    assert "--scale must be a finite number > 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"spincat: error: --scale {NOT_POSITIVE[scale]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lab-check", "--dt=-1e-9"], "--dt must be > 0, got -1e-09"),
+        (["husimi", "--n-theta", "1"], "--n-theta must be an integer >= 2, got 1"),
+        (["husimi", "--n-phi", "0"], "--n-phi must be an integer >= 2, got 0"),
+        (["coherence-scaling", "--spins", "3", "0"], "--spins must be an integer >= 1, got 0"),
+        (["tact", "--eta", "0", "2"], "--eta must be in [0, 1], got 2.0"),
+        (["tact", "--b0-hz=-5"], "--b0-hz must be >= 0, got -5.0"),
+        (["decoherence", "--gamma-m=-1"], "--gamma-m must be >= 0, got -1.0"),
+        (["decoherence", "--gamma-e", "0.1", "inf"], "--gamma-e must be a finite number, got inf"),
+    ],
+)
+def test_numeric_flag_is_checked_before_any_case_runs(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"spincat: error: {message}\n")
+    assert not out.exists()
 
 
 def _reject_constant(name):
@@ -320,7 +353,10 @@ def test_givens_report_without_twisting_is_strict_json(tmp_path, capsys):
 def test_husimi_grid_must_span_the_sphere(capsys, grid, name):
     rc = main(["husimi", *grid])
     assert rc == 2
-    assert f"husimi grid size {name} must be >= 2" in capsys.readouterr().err
+    flag = "--" + name.replace("_", "-")
+    value = grid[grid.index(flag) + 1]
+    message = f"{flag} must be an integer >= 2, got {value}"
+    assert capsys.readouterr().err == f"spincat: error: {message}\n"
 
 
 def test_tact_without_quadrupole_needs_t_max(tmp_path, capsys):
@@ -515,6 +551,20 @@ def test_coherence_table_matches_the_row_by_row_bytes(tmp_path, capsys):
         for row in coherence_scaling(paper_config(), [1, 3, 7]):
             fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")
     assert (tmp_path / "coherence_vs_dimension.csv").read_bytes() == oracle.read_bytes()
+
+
+def test_cli_writes_files_through_the_observables_writers():
+    # every table and report goes through a public writer of observables
+    # (the manifest through scenarios.write_manifest): cli opens no file for
+    # writing and takes no private name from observables
+    for node in ast.walk(ast.parse(inspect.getsource(spincat.cli))):
+        if isinstance(node, ast.ImportFrom) and node.module == "observables":
+            assert [a.name for a in node.names if a.name.startswith("_")] == []
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            assert all(isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes), (
+                ast.unparse(node)
+            )
 
 
 #: Every command on a small grid, each flag it takes set away from its default.

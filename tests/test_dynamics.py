@@ -516,7 +516,7 @@ def test_lindblad_closed_system_matches_unitary():
 @pytest.mark.parametrize(
     "h, got",
     [
-        (lambda t: np.zeros((t.size, 4, 4)), "got a callable"),
+        (lambda t: np.zeros((t.size, 4, 4)), "got shape ()"),
         (np.zeros((3, 3)), "got shape (3, 3)"),
         (np.zeros((1, 4, 4)), "got shape (1, 4, 4)"),
     ],

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,8 +21,9 @@ from spincat.observables import (
     _checked_observable,
     _moments,
     _variance,
-    _write_table,
+    save_coherence_table,
     save_husimi,
+    save_report,
     save_size_series,
 )
 from spincat.scenarios import coherence_scaling, paper_config
@@ -267,14 +270,6 @@ def test_husimi_normalization_and_refinement():
         assert abs(fine.integral() - 1.0) <= abs(coarse.integral() - 1.0)
 
 
-def test_husimi_mixed_state_route():
-    spin = SpinQuantum(5)
-    psi = coherent_state(spin, 1.1, 0.4)
-    pure_grid = husimi_q(psi, spin, n_theta=61, n_phi=121)
-    mixed_grid = husimi_q(np.outer(psi, psi.conj()), spin, n_theta=61, n_phi=121)
-    assert_allclose(mixed_grid.values, pure_grid.values, atol=1e-12)
-
-
 def test_husimi_pure_state_peak_memory_stays_below_one_and_a_half_grids():
     # the pure path conjugates the d-vector, not a second copy of the grid
     spin = SpinQuantum(25)
@@ -304,27 +299,15 @@ def _coherent_grid_husimi(state, spin, n_theta, n_phi):
         * np.sin(half)[None, :] ** idx[:, None]
     )
     coh = amp[:, :, None] * np.exp(-1j * np.multiply.outer(spin.m_values, phis))[:, None, :]
-    norm = spin.dimension / (4 * np.pi)
-    if state.ndim == 1:
-        values = norm * np.abs(np.einsum("dtp,d->tp", coh, state.conj())) ** 2
-    else:
-        values = norm * np.einsum("dtp,de,etp->tp", coh.conj(), state, coh).real
-    return np.clip(values, 0.0, None)
+    return spin.dimension / (4 * np.pi) * np.abs(np.einsum("dtp,d->tp", coh, state.conj())) ** 2
 
 
 def _husimi_test_states(spin, rng):
-    """Random and structured pure states, and density matrices of rank 1, 3
-    and full rank."""
+    """A random and two structured pure states."""
     d = spin.dimension
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     psi /= np.linalg.norm(psi)
-    pure = [psi, zcat(spin), coherent_state(spin, 1.1, 0.4)]
-    mixed = [np.outer(psi, psi.conj())]
-    for rank in (min(3, d), d):
-        a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-        rho = a @ a.conj().T
-        mixed.append(rho / np.trace(rho).real)
-    return pure + mixed
+    return [psi, zcat(spin), coherent_state(spin, 1.1, 0.4)]
 
 
 @pytest.mark.parametrize("twice_i", [1, 2, 7, 25])
@@ -338,26 +321,27 @@ def test_husimi_matches_the_coherent_grid_oracle(twice_i, n_theta, n_phi):
         assert np.max(np.abs(grid.values - want)) <= 1e-13 * want.max()
 
 
-def test_husimi_rejects_a_non_hermitian_matrix():
-    spin = SpinQuantum(3)
-    rho = np.eye(4) / 4
-    rho[0, 1] = 0.1
-    with pytest.raises(ValueError, match="Hermitian"):
-        husimi_q(rho, spin)
+@pytest.mark.parametrize(
+    "state, shape",
+    [(np.eye(4) / 4, (4, 4)), (np.ones(5) / np.sqrt(5), (5,)), (np.ones((1, 4)) / 2, (1, 4))],
+)
+def test_husimi_takes_a_state_vector_of_the_spin_only(state, shape):
+    # a density matrix, a vector of another spin and a stack of one state
+    # are all refused, naming the shape they have
+    message = re.escape(f"state vector of shape (4,), got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        husimi_q(state, SpinQuantum(3))
 
 
-@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
-def test_husimi_peak_memory_stays_below_a_quarter_of_the_coherent_grid(mixed):
+def test_husimi_peak_memory_stays_below_a_quarter_of_the_coherent_grid():
     # the (d, n_theta, n_phi) complex tensor of coherent amplitudes is never
     # built: the peak is a few grids of the output's size
     spin = SpinQuantum(25)
     n_theta, n_phi = 181, 361
     grid_bytes = spin.dimension * n_theta * n_phi * 16
-    psi = zcat(spin)
-    state = np.outer(psi, psi.conj()) if mixed else psi
     tracemalloc.start()
     try:
-        grid = husimi_q(state, spin, n_theta=n_theta, n_phi=n_phi)
+        grid = husimi_q(zcat(spin), spin, n_theta=n_theta, n_phi=n_phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -369,7 +353,8 @@ def test_cat_coherence_values():
     spin = SpinQuantum(7)
     rho = np.outer(zcat(spin), zcat(spin).conj())
     assert cat_coherence(rho, spin) == pytest.approx(0.5, rel=1e-12)
-    assert cat_coherence(zcat(spin), spin) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(ValueError, match=r"shape \(8, 8\), got shape \(8,\)"):
+        cat_coherence(zcat(spin), spin)
 
 
 def test_cat_coherence_dephasing_decay():
@@ -443,6 +428,14 @@ def test_serialization_round_trips(tmp_path):
     assert_allclose(data[:, 2].reshape(11, 21), grid.values, rtol=0, atol=0)
 
 
+def test_save_report_writes_strict_json_indented_by_two(tmp_path):
+    doc = {"mode": "create", "edge_populations": [0.25, 0.75], "oat_period_s": None}
+    save_report(doc, tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == json.dumps(doc, indent=2)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_report({"fidelity": float("nan")}, tmp_path / "bad.json")
+
+
 def _row_by_row_size_series(series, path, header_extra=""):
     # the writer save_size_series had before the shared table writer
     with open(path, "w") as fh:
@@ -467,20 +460,13 @@ def _row_by_row_husimi(grid, path, header_extra=""):
 
 
 def _coherence_table(rows, path, header_extra=""):
-    # the call of `spincat coherence-scaling`, with the header line added
-    _write_table(
-        path,
-        filter(None, [header_extra, "twice_i,dimension,coherence,analytic"]),
-        [[row.coherence, row.analytic] for row in rows],
-        [f"{row.twice_i},{row.dimension}" for row in rows],
-    )
+    # the coherence table has no extra header line
+    save_coherence_table(rows, path)
 
 
 def _row_by_row_coherence(rows, path, header_extra=""):
     # the writer `spincat coherence-scaling` had before the shared table writer
     with open(path, "w") as fh:
-        if header_extra:
-            fh.write(f"# {header_extra}\n")
         fh.write("# twice_i,dimension,coherence,analytic\n")
         for row in rows:
             fh.write(f"{row.twice_i},{row.dimension},{row.coherence!r},{row.analytic!r}\n")

@@ -8,7 +8,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spincat._floattext import _BLOCK, float_words
+from spincat._floattext import float_words
+from spincat.observables import _BLOCK_ROWS
 from spincat.control import wrap_phase
 from spincat.dynamics import DecoherenceSpec, TimeGrid, evolve_lindblad
 from spincat.observables import effective_sizes
@@ -153,7 +154,8 @@ def float_text(x) -> np.ndarray:
     without its NUL bytes is ``repr(float(value))``."""
     x = np.ravel(np.asarray(x, dtype=np.float64))
     out = np.empty((len(x), 4), dtype="<u8")
-    float_words(x, out)
+    for i in range(0, len(x), _BLOCK_ROWS):  # as many at a time as the table writer
+        float_words(x[i : i + _BLOCK_ROWS], out[i : i + _BLOCK_ROWS])
     return out.view(np.uint8)
 
 
@@ -191,9 +193,9 @@ def test_float_text_is_repr_of_short_long_and_special_values_in_one_block():
     rng = np.random.default_rng(18)
     short = [0.5, 1e22, 1.25e-7, 123456789012345680.0, 100.0, 1e16, 2e-5]
     special = [0.0, -0.0, np.nan, np.inf, -np.inf]
-    x = rng.uniform(-1, 1, _BLOCK) * 10.0 ** rng.integers(-30, 30, _BLOCK)
+    x = rng.uniform(-1, 1, _BLOCK_ROWS) * 10.0 ** rng.integers(-30, 30, _BLOCK_ROWS)
     x[rng.choice(x.size, 600, replace=False)] = rng.choice(short + special, 600)
-    assert x.size == _BLOCK
+    assert x.size == _BLOCK_ROWS
     assert _lines(x) == [repr(v) for v in x.tolist()]
 
 

