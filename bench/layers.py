@@ -30,7 +30,9 @@ the child's peak RSS and whether scipy was loaded.  ``--src`` points at the
 ``src`` directory of the tree to measure (default: the one next to this
 script), so two trees are measured by one script.
 
-Standard library and numpy only; nothing gates on the numbers.
+BLAS runs at one thread unless the thread variables are set; the file's
+environment block records them.  Standard library and numpy only; nothing
+gates on the numbers.
 """
 
 from __future__ import annotations
@@ -46,6 +48,14 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+
+# BLAS runs single-threaded unless the caller sets the thread variables, as
+# in the test suite and perfbench: at these sizes a second thread costs more
+# in hand-off than it computes, and makes the small layers swing by up to
+# an order of magnitude between runs.  Set before numpy is imported; the
+# cold-import children inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

@@ -1,11 +1,14 @@
 """Evolvers for the Schroedinger and Lindblad equations.
 
-A constant generator (-iH, or the Lindblad Liouvillian) is propagated
-exactly from one stored sample to the next: the samples are equally spaced,
-so a run takes one matrix exponential, ``scipy.linalg.expm``, the package's
-only use of scipy (imported by :func:`_sample_exact` alone).  The other
-exponentials use their structure: :func:`propagator` takes exp(-i H t)
-from the eigendecomposition of the Hermitian H.  A time-dependent H is a
+A constant generator is propagated exactly from one stored sample to the
+next.  A constant H takes one matrix exponential per run, since the samples
+are equally spaced: ``scipy.linalg.expm``, the package's only use of scipy
+(imported by :func:`_sample_exact` alone).  A Lindblad run never forms its
+d^2 x d^2 Liouvillian L: each sample is the action of exp(L gap) on the one
+before it, a truncated Taylor sum of d x d products (Al-Mohy & Higham
+2011).  The other exponentials use their structure: :func:`propagator`
+takes exp(-i H t) from the eigendecomposition of the Hermitian H.  A
+time-dependent H is a
 :class:`Drive`, H(t) = h0 + f(t) x with f the envelope of a multi-tone
 pulse, |f| <= 1, stepped by the midpoint rule exp(-i H(t_mid) dt).  The
 amplitudes c = f(t_mid) come from tone phasors, one small product per
@@ -65,6 +68,19 @@ TAYLOR_TAIL_TOL = 1e-18
 #: Largest 1-norm whose exponential is summed as a Taylor series unscaled;
 #: a larger matrix is halved until it is not, and the sum squared back.
 TAYLOR_SCALE_NORM = 2.0
+
+#: theta_m of Al-Mohy & Higham 2011 (SIAM J. Sci. Comput. 33(2), Table 3.1)
+#: for a unit roundoff of 2^-53: the Taylor polynomial of degree m of
+#: exp(A t / s) with ||A|| t / s <= theta_m is the exponential of a matrix
+#: within that relative backward error of A t / s.
+ACTION_THETA = {
+    5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
+#: A sub-step's Taylor sum stops once two successive terms together are
+#: below this share of the sum (infinity norms; the same paper's test).
+ACTION_TOL = 2.0 ** -53
 
 
 class IntegrationError(RuntimeError):
@@ -340,17 +356,16 @@ def _run_map(u: np.ndarray) -> np.ndarray:
 
 def _sample_exact(g: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """exp(g k) x0 for k = 0 ... n - 1, stacked along the first axis, where
-    ``g`` is the generator times the one gap between samples: -i H times
-    the gap, or the Lindblad Liouvillian times it.
+    ``g`` is -i H times the one gap between samples of a constant-H
+    unitary run.
 
     One ``scipy.linalg.expm`` gives U = exp(g); the samples are filled by
     doubling: the known states times U, then U^2, U^4, ..., one batched
     product each, so ceil(log2 n) products instead of n - 1.  This is the
     package's only use of scipy, imported here, so the commands that take
-    no sampled run (all but ``tact``, ``ramsey`` and ``decoherence``) do
-    not load it.
+    no constant-H unitary run (all but ``tact``) do not load it.
     """
-    import scipy.linalg  # here, not at module level: only sampled runs pay its import
+    import scipy.linalg  # here, not at module level: only constant-H runs pay its import
 
     xs = np.empty((n,) + x0.shape, dtype=complex)
     xs[0] = x0
@@ -362,6 +377,52 @@ def _sample_exact(g: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
         if done < n:
             power = power @ power
     return xs
+
+
+def _lindblad_action(h: np.ndarray, half_rates: np.ndarray, rho: np.ndarray, t: float) -> np.ndarray:
+    """exp(L t) rho, L(X) = -i(HX - XH) - half_rates o X, for a Hermitian
+    (d, d) H and rho and a real symmetric ``half_rates``, without L's
+    d^2 x d^2 matrix: the truncated Taylor method of Al-Mohy & Higham 2011.
+
+    L is shifted by mu = mean(half_rates), and e^(-mu t/s) multiplies each
+    of s sub-steps.  ||L + mu|| <= (spread of H's eigenvalues) +
+    max|half_rates - mu| in the norm that vec(X) takes from the Frobenius
+    norm, exactly so for the commutator part.  The degree bound m and s
+    minimise m s under ||L + mu|| t / s <= ``ACTION_THETA`` [m]; a sub-step
+    stops early once two successive terms are below ``ACTION_TOL`` of the
+    sum.  Every term of a Hermitian rho is Hermitian, so the commutator
+    term is P + P^dagger with P = -i H X t / (s k): one d x d product a term.
+    """
+    mu = float(half_rates.mean())
+    shift = half_rates - mu
+    lam = np.linalg.eigvalsh(h)
+    norm = (lam[-1] - lam[0] + np.abs(shift).max()) * t
+    m, s = min(
+        ((m, max(1, int(np.ceil(norm / theta)))) for m, theta in ACTION_THETA.items()),
+        key=lambda ms: ms[0] * ms[1],
+    )
+    g, shift = (-1j * t / s) * h, (t / s) * shift
+    f = rho.astype(complex)
+    term, p, new = f.copy(), np.empty_like(f), np.empty_like(f)
+    for _ in range(s):
+        c1 = bound = np.abs(term).max()
+        for k in range(1, m + 1):
+            np.matmul(g, term, out=p)
+            np.conjugate(p.T, out=new)
+            new += p
+            new -= np.multiply(shift, term, out=p)
+            new /= k
+            term, new = new, term
+            f += term
+            c2 = np.abs(term).max()
+            # bound >= ||f||, so ||f|| is needed only once the test can pass
+            bound += c2
+            if c1 + c2 <= ACTION_TOL * bound and c1 + c2 <= ACTION_TOL * np.abs(f).max():
+                break
+            c1 = c2
+        f *= np.exp(-mu * t / s)
+        term[...] = f
+    return f
 
 
 def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
@@ -438,24 +499,31 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
 
 def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory:
     """Propagate the Lindblad master equation with dephasing jump operators
-    L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e) exactly, with the
-    Liouvillian -i(H (x) 1 - 1 (x) H^T) - diag(vec R)/2 on row-major vec(rho)
-    (R from :meth:`DecoherenceSpec.rates`, H constant).  Stored states are
-    symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7 aborts.
+    L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e) exactly:
+    d rho/dt = L(rho) = -i(H rho - rho H) - R o rho / 2, R from
+    :meth:`DecoherenceSpec.rates` and H constant and Hermitian.  Each stored
+    sample is the action of exp(L gap) on the one before it
+    (:func:`_lindblad_action`), from rho0's Hermitian part.  Stored states
+    are symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7
+    aborts.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     d = rho.shape[0]
     if np.shape(h) != (d, d):
         raise ValueError(f"h must be a constant array of shape {(d, d)}, got shape {np.shape(h)}")
     h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h):
+        raise ValueError("evolve_lindblad requires a Hermitian Hamiltonian")
     m = (d - 1 - 2 * np.arange(d)) / 2  # m ladder inferred from dimension
-    one = np.eye(d)
-    liouvillian = -1j * (np.kron(h, one) - np.kron(one, h.T))
-    liouvillian[np.diag_indices(d * d)] -= 0.5 * dec.rates(m).ravel()
+    half_rates = 0.5 * dec.rates(m)
 
     steps = grid.sample_steps
     gap = steps[1] * grid.step
-    states = np.reshape(_sample_exact(liouvillian * gap, rho.ravel(), len(steps)), (-1, d, d))
+    states = np.empty((len(steps), d, d), dtype=complex)
+    states[0] = rho
+    x = (rho + rho.conj().T) / 2
+    for k in range(1, len(steps)):
+        x = states[k] = _lindblad_action(h, half_rates, x, gap)
     states[1:] = (states[1:] + states[1:].conj().swapaxes(-1, -2)) / 2
     times = grid.t_start + steps * grid.step
     traces = np.trace(states[1:], axis1=1, axis2=2).real

@@ -2,7 +2,8 @@
 
 The oracles take ``scipy.linalg.expm`` as their exponential, so they stay
 independent of the package's own propagation paths: the dense dt/100
-unitary reference, the RK4 Lindblad reference and the rotation operator.
+unitary reference, the RK4 Lindblad reference, the dense-Liouvillian
+Lindblad step and the rotation operator.
 The measurements are the off-resonant flip probability, which bounds what
 the rotating-wave model drops, the revival peaks of a sampled series and
 the gap sweep measured on its states.
@@ -81,6 +82,21 @@ def reference_lindblad_state(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> n
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return rho
+
+
+def reference_lindblad_step(h, rho0, dec: DecoherenceSpec, t: float) -> np.ndarray:
+    """One-step oracle for :func:`evolve_lindblad`: exp(L t) rho0 from the
+    dense d^2 x d^2 Liouvillian and ``scipy.linalg.expm``.  On the row-major
+    vec(rho), vec(A X B) = (A (x) B^T) vec(X), so
+    L = -i(H (x) 1 - 1 (x) H^T) - diag(vec R) / 2 (R from
+    :meth:`DecoherenceSpec.rates`)."""
+    rho = np.array(check_density_matrix(rho0), dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    d = rho.shape[0]
+    one = np.eye(d)
+    liouvillian = -1j * (np.kron(h, one) - np.kron(one, h.T))
+    liouvillian -= 0.5 * np.diag(dec.rates((d - 1 - 2 * np.arange(d)) / 2).ravel())
+    return (scipy.linalg.expm(liouvillian * t) @ rho.ravel()).reshape(d, d)
 
 
 def rotation_operator(spin: SpinQuantum, axis, angle: float) -> np.ndarray:

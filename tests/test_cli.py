@@ -699,9 +699,9 @@ def _loads_scipy(argvs) -> bool:
 
 def test_only_the_sampled_runs_load_scipy(tmp_path):
     # scipy.linalg.expm is left in one place, dynamics._sample_exact: the
-    # exponential of tact's constant H and of ramsey's and decoherence's
-    # Liouvillian.  The other commands run on numpy alone and skip scipy's
-    # import (~0.25 s and ~25 MiB)
+    # exponential of tact's constant H.  ramsey and decoherence take their
+    # Lindblad steps as actions on rho, and every command but tact runs on
+    # numpy alone and skips scipy's import (~0.25 s and ~25 MiB)
     config = tmp_path / "spin3.json"
     config.write_text(json.dumps({"spin": {"twice_i": 3}}))
     cfg = ["--config", str(config)]
@@ -712,5 +712,7 @@ def test_only_the_sampled_runs_load_scipy(tmp_path):
         ["oat", *cfg],
         ["husimi", *cfg],
         ["coherence-scaling", *cfg],
+        ["ramsey", *cfg],
+        ["decoherence", *cfg],
     ])
     assert _loads_scipy([["tact", *cfg]])

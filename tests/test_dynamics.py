@@ -27,7 +27,7 @@ from spincat.hamiltonian import FieldSpec, QuadrupoleSpec, energy_ladder, static
 from spincat.scenarios import _ladder, _pulse_pair, paper_config
 from spincat.spin import SpinQuantum, coherent_state, eigenstate, fidelity, spin_operators
 
-from oracles import reference_final_state, reference_lindblad_state
+from oracles import reference_final_state, reference_lindblad_state, reference_lindblad_step
 
 TWO_PI = 2 * np.pi
 GB0 = TWO_PI * 8.25e6
@@ -561,6 +561,81 @@ def test_lindblad_matches_rk4_reference(case):
     assert trace_distance(exact, rk4) <= 1e-10
 
 
+@pytest.mark.parametrize("rates", ["zero", "paper"])
+@pytest.mark.parametrize("twice_i", [3, 7, 25])
+def test_lindblad_step_matches_the_dense_liouvillian(twice_i, rates):
+    # the first cat pulse from |I, I>, one step, against scipy's exponential
+    # of the d^2 x d^2 Liouvillian: measured <= 8.3e-16, the largest at
+    # 2I = 3 with the paper rates
+    spin, h, t_half = first_cat_pulse(twice_i)
+    dec = paper_config().decoherence if rates == "paper" else DecoherenceSpec()
+    psi0 = eigenstate(spin, spin.i)
+    rho0 = np.outer(psi0, psi0.conj())
+    rho = evolve_lindblad(h, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
+    want = reference_lindblad_step(h, rho0, dec, t_half)
+    assert np.max(np.abs(rho - want)) <= 8 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("gain", [1.0, 20.0])
+def test_lindblad_step_matches_mpmath(gain):
+    # one step of the first cat pulse at 2I = 3 against a 30-digit mpmath
+    # exponential of the Liouvillian built entry by entry, at the paper
+    # rates and at the 20-fold rates of the benchmark's decoherence job:
+    # measured 6.7e-16 and 4.4e-16 (the dense scipy oracle 2.8e-16 and 1.1e-16)
+    import mpmath
+
+    spin, h, t_half = first_cat_pulse(3)
+    paper = paper_config().decoherence
+    dec = DecoherenceSpec(gamma_m=gain * paper.gamma_m, gamma_e=gain * paper.gamma_e)
+    d = spin.dimension
+    psi0 = eigenstate(spin, spin.i)
+    rho0 = np.outer(psi0, psi0.conj())
+    rates = dec.rates((d - 1 - 2 * np.arange(d)) / 2)
+    with mpmath.workdps(30):
+        hm = mpmath.matrix(np.asarray(h, dtype=complex).tolist())
+        lv = mpmath.zeros(d * d)
+        # row j d + k of L vec(rho) is (-i(H rho - rho H) - R o rho / 2)_jk
+        for j in range(d):
+            for k in range(d):
+                for a in range(d):
+                    lv[j * d + k, a * d + k] += -1j * hm[j, a]
+                    lv[j * d + k, j * d + a] += 1j * hm[a, k]
+                lv[j * d + k, j * d + k] -= mpmath.mpf(rates[j, k]) / 2
+        v = mpmath.expm(lv * mpmath.mpf(t_half)) * mpmath.matrix(rho0.ravel().tolist())
+        want = np.array([complex(v[i]) for i in range(d * d)]).reshape(d, d)
+    rho = evolve_lindblad(h, rho0, dec, TimeGrid(0.0, t_half, dt=t_half)).final_state
+    assert np.max(np.abs(rho - want)) <= 4 * np.spacing(1.0)
+
+
+def test_lindblad_step_peak_memory_stays_below_a_quarter_of_the_liouvillian():
+    # at 2I = 25 the complex 676 x 676 Liouvillian alone is 7.3 MB; the
+    # action keeps a few d x d arrays: 0.12 MB measured at the paper rates
+    import tracemalloc
+
+    spin, h, t_half = first_cat_pulse(25)
+    psi0 = eigenstate(spin, spin.i)
+    rho0 = np.outer(psi0, psi0.conj())
+    grid, dec = TimeGrid(0.0, t_half, dt=t_half), paper_config().decoherence
+    evolve_lindblad(h, rho0, dec, grid)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        evolve_lindblad(h, rho0, dec, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spin.dimension ** 4 * 16 / 4
+
+
+def test_lindblad_requires_a_hermitian_hamiltonian():
+    # the action takes the commutator term as P + P^dagger, which holds
+    # for a Hermitian H only
+    rho0 = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    h = np.triu(np.ones((4, 4)))
+    grid = TimeGrid(0.0, 1e-6, dt=1e-7)
+    with pytest.raises(ValueError, match="^evolve_lindblad requires a Hermitian Hamiltonian$"):
+        evolve_lindblad(h, rho0, DecoherenceSpec(), grid)
+
+
 def test_exact_sampling_rounds_to_the_stride_and_matches_repeated_one_step_propagators():
     # a span of 1003 steps of dt at stride 10 becomes 1010 shorter steps, so
     # the 101 samples are equally spaced and the last is at the span's end
@@ -575,24 +650,15 @@ def test_exact_sampling_rounds_to_the_stride_and_matches_repeated_one_step_propa
     assert grid.n_steps == 1010
     assert grid.step <= dt
     stored = list(range(0, 1011, 10))
-    # one-step maps built independently of the evolvers: the Liouvillian on
-    # the column-major vectorization, vec(A X B) = (B^T (x) A) vec(X)
-    m = spin.m_values
-    ma, mb = np.meshgrid(m, m, indexing="ij")
-    rates = dec.gamma_m * (ma - mb) ** 2 + dec.gamma_e * (ma ** 2 - mb ** 2) ** 2
-    one = np.eye(4)
-    liouvillian = -1j * (np.kron(one, h) - np.kron(h.T, one)) - 0.5 * np.diag(
-        rates.ravel(order="F")
-    )
+    # one-step maps built independently of the evolvers
     u1 = scipy.linalg.expm(-1j * h * grid.step)
-    p1 = scipy.linalg.expm(liouvillian * grid.step)
-    psi, vec_rho = psi0.astype(complex), rho0.ravel(order="F")
+    psi, rho = psi0.astype(complex), rho0
     psis, rhos = [psi], [rho0]
     for k in range(1, grid.n_steps + 1):
-        psi, vec_rho = u1 @ psi, p1 @ vec_rho
+        psi, rho = u1 @ psi, reference_lindblad_step(h, rho, dec, grid.step)
         if k in stored:
             psis.append(psi)
-            rhos.append(vec_rho.reshape(4, 4, order="F"))
+            rhos.append(rho)
 
     unitary = evolve_unitary(h, psi0, grid)
     lindblad = evolve_lindblad(h, rho0, dec, grid)
@@ -650,15 +716,20 @@ def test_evolvers_name_the_first_sample_that_breaks_a_conservation_law(monkeypat
     monkeypatch.setattr(dynamics, "_sample_exact", lambda g, x0, n: scale[:, None] * x0)
     with pytest.raises(IntegrationError, match=re.escape(f"norm drifted to 1.1 at t = {3e-6}")):
         evolve_unitary(np.zeros((4, 4)), psi0, grid)
+
+    # the Lindblad evolver takes one action per stored sample, 1 ... 6
+    def actions(sample):
+        calls = iter(range(1, 7))
+        return lambda h, half_rates, rho, t: sample(next(calls))
+
+    monkeypatch.setattr(dynamics, "_lindblad_action", actions(lambda k: scale[k] * rho0))
     with pytest.raises(IntegrationError, match=re.escape(f"trace drifted to 1.1 at t = {3e-6}")):
         evolve_lindblad(np.zeros((4, 4)), rho0, DecoherenceSpec(), grid)
 
-    def negative_at_2(g, x0, n):
-        rhos = np.repeat(x0[None], n, axis=0).reshape(-1, 4, 4) * scale[:, None, None]
-        rhos[2] = np.diag([1.1, 0.0, 0.0, -0.1])
-        return rhos.reshape(n, -1)
+    def negative_at_2(k):
+        return np.diag([1.1, 0.0, 0.0, -0.1]) if k == 2 else scale[k] * rho0
 
-    monkeypatch.setattr(dynamics, "_sample_exact", negative_at_2)
+    monkeypatch.setattr(dynamics, "_lindblad_action", actions(negative_at_2))
     message = f"eigenvalue -0.1 below -1e-07 at t = {2e-6}"
     with pytest.raises(IntegrationError, match=re.escape(message)):
         evolve_lindblad(np.zeros((4, 4)), rho0, DecoherenceSpec(), grid)

@@ -538,8 +538,8 @@ def test_dephased_matches_the_lindblad_evolver(twice_i):
 
 
 def test_coherence_scaling_peak_memory_stays_below_one_liouvillian():
-    # the closed form needs d x d arrays; the d^2 x d^2 complex Liouvillian
-    # of the Lindblad evolver at 2I = 25 alone is 7.3 MB
+    # the closed form needs d x d arrays; a d^2 x d^2 complex Liouvillian
+    # at 2I = 25 alone would be 7.3 MB
     d = 26
     liouvillian_bytes = d ** 4 * 16
     cfg = paper_config()
