@@ -334,6 +334,9 @@ def main(argv=None) -> int:
     except (ValueError, IntegrationError, OSError) as exc:
         print(f"spincat: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"spincat: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

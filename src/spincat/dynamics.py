@@ -1,11 +1,12 @@
 """Evolvers for the Schroedinger and Lindblad equations.
 
-A constant generator is propagated exactly from one stored sample to the
-next.  A constant H takes one matrix exponential per run, since the samples
-are equally spaced: ``scipy.linalg.expm``, the package's only use of scipy
-(imported by :func:`_sample_exact` alone).  A Lindblad run never forms its
-d^2 x d^2 Liouvillian L: each sample is the action of exp(L gap) on the one
-before it, a truncated Taylor sum of d x d products (Al-Mohy & Higham
+A constant generator is propagated exactly from one grid point to the
+next, and its run returns the state at every grid point.  A constant H takes
+one matrix exponential per run, since the grid is uniform:
+``scipy.linalg.expm``, the package's only use of scipy (imported by
+:func:`_sample_exact` alone).  A Lindblad run never forms its d^2 x d^2
+Liouvillian L: each grid point's state is the action of exp(L step) on the
+one before it, a truncated Taylor sum of d x d products (Al-Mohy & Higham
 2011).  The other exponentials use their structure: :func:`propagator`
 takes exp(-i H t) from the eigendecomposition of the Hermitian H.  A
 time-dependent H is a
@@ -19,16 +20,16 @@ are one polynomial in both amplitudes, sum_ji c_b^j c_a^i (M_j M_i), so
 the steps of a chunk become one such map per pair (and one single-step map
 for an odd last step), multiplied pairwise and taken one Newton-Schulz
 step toward unitarity.  Both evolvers check their conservation laws (norm,
-trace, positivity) at every stored sample.
+trace, positivity) at every returned state.
 
 A unitary Hamiltonian source is either a constant (d, d) matrix or a
-:class:`Drive`, whose run stores its first and last states only.  The
-Lindblad evolver takes only a constant (d, d) matrix.
+:class:`Drive`, whose run returns its first and last states only.  The
+Lindblad evolver takes only a constant (d, d) matrix.  A caller that wants
+a constant generator's final state only passes a one-step grid, dt = span.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +114,15 @@ class DecoherenceSpec:
 class TimeGrid:
     """Uniform integration grid on [t_start, t_end] with step ~dt.
 
-    The span is divided into the fewest equal steps no longer than ``dt``
-    whose count is a multiple of ``output_stride``; the first and every
-    ``output_stride``-th state are stored (the default ``None``: the first
-    and last only), so the stored samples are equally spaced and the last
-    falls on ``t_end``.  Only a constant generator takes a stride.
+    The span is divided into the fewest equal steps no longer than ``dt``,
+    so the last grid point falls on ``t_end``.  A constant-generator run
+    returns the state at every grid point, a :class:`Drive` run its first
+    and last states.
     """
 
     t_start: float
     t_end: float
     dt: float
-    output_stride: int | None = None
 
     def __post_init__(self):
         _require_finite(self, "t_start", "t_end", "dt")
@@ -131,11 +130,6 @@ class TimeGrid:
             raise ValueError("need t_end > t_start")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        stride = self.output_stride
-        if stride is not None and (
-            isinstance(stride, bool) or not isinstance(stride, numbers.Integral) or stride < 1
-        ):
-            raise ValueError(f"output_stride must be None or an integer >= 1, got {stride!r}")
 
     @property
     def span(self) -> float:
@@ -143,19 +137,11 @@ class TimeGrid:
 
     @property
     def n_steps(self) -> int:
-        stride = self.output_stride or 1
-        n = max(1, int(np.ceil(self.span / self.dt - 1e-9)))
-        return -(-n // stride) * stride
+        return max(1, int(np.ceil(self.span / self.dt - 1e-9)))
 
     @property
     def step(self) -> float:
         return self.span / self.n_steps
-
-    @property
-    def sample_steps(self) -> np.ndarray:
-        """Step counts of the stored states, ascending from 0 to n_steps."""
-        n = self.n_steps
-        return np.arange(0, n + 1, self.output_stride or n)
 
 
 @dataclass
@@ -356,8 +342,7 @@ def _run_map(u: np.ndarray) -> np.ndarray:
 
 def _sample_exact(g: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """exp(g k) x0 for k = 0 ... n - 1, stacked along the first axis, where
-    ``g`` is -i H times the one gap between samples of a constant-H
-    unitary run.
+    ``g`` is -i H times the grid step of a constant-H unitary run.
 
     One ``scipy.linalg.expm`` gives U = exp(g); the samples are filled by
     doubling: the known states times U, then U^2, U^4, ..., one batched
@@ -429,9 +414,10 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     """Integrate the Schroedinger equation over the grid.
 
     ``h`` is either a constant (d, d) Hermitian matrix, propagated exactly
-    from one stored sample to the next by one exponential over the grid's
-    one gap between samples (see :func:`_sample_exact`), or a :class:`Drive`
-    H(t) = h0 + f(t) x, stepped by the midpoint rule exp(-i H(t_mid) dt).
+    from one grid point to the next by one exponential over the grid step
+    (see :func:`_sample_exact`), with the state returned at every grid
+    point, or a :class:`Drive` H(t) = h0 + f(t) x, stepped by the midpoint
+    rule exp(-i H(t_mid) dt).
 
     For a drive, h0 and x are checked Hermitian once, and the step map is
     the polynomial sum_j c^j M_j in c = f(t_mid): its coefficients come from
@@ -450,23 +436,17 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
     map, all written to one buffer allocated per call; the maps are
     multiplied pairwise in place, and their product is taken one
     Newton-Schulz step toward unitarity before it acts on the state, so the
-    state takes one matrix-vector product per chunk.  A drive run stores
-    its first and last states only: a grid with an ``output_stride`` is
-    refused.
+    state takes one matrix-vector product per chunk.  A drive run returns
+    its first and last states only.
 
-    The state norm is checked at every stored sample; a drift beyond 1e-6
+    The state norm is checked at every returned state; a drift beyond 1e-6
     aborts.
     """
     psi = np.array(check_pure_state(psi0), dtype=complex)
-    dt = grid.step
-    steps = grid.sample_steps
+    n, dt = grid.n_steps, grid.step
 
     if isinstance(h, Drive):
-        if grid.output_stride is not None:
-            raise ValueError(
-                "a Drive run stores its first and last states only; "
-                f"output_stride must be None, got {grid.output_stride!r}"
-            )
+        steps = np.array([0, n])
         d = psi.size
         h0, x = _drive_terms(h, d)
         m = _step_map_coefficients(h0, x, dt)
@@ -477,7 +457,7 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         # last one to the system (~2900 page faults per lab_pulses pass)
         maps = np.empty((chunk // 2, 2 * d * d))
         states = [psi]
-        for c in h.pulse.midpoint_amplitudes(grid.t_start, dt, grid.n_steps, chunk):
+        for c in h.pulse.midpoint_amplitudes(grid.t_start, dt, n, chunk):
             psi = _run_map(_pair_maps(c, coeffs, pair_coeffs, d, maps)) @ psi
         states.append(psi)
         hint = f"; reduce dt (currently {dt})"
@@ -485,7 +465,8 @@ def evolve_unitary(h, psi0, grid: TimeGrid) -> Trajectory:
         h = np.asarray(h, dtype=complex)
         if not is_hermitian(h):
             raise ValueError("evolve_unitary requires a Hermitian Hamiltonian")
-        states = _sample_exact(-1j * h * (steps[1] * dt), psi, len(steps))
+        steps = np.arange(n + 1)
+        states = _sample_exact(-1j * h * dt, psi, n + 1)
         hint = ""
 
     traj = Trajectory(times=grid.t_start + steps * dt, states=np.asarray(states))
@@ -501,11 +482,11 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     """Propagate the Lindblad master equation with dephasing jump operators
     L_m = Iz (rate gamma_m) and L_e = Iz^2 (rate gamma_e) exactly:
     d rho/dt = L(rho) = -i(H rho - rho H) - R o rho / 2, R from
-    :meth:`DecoherenceSpec.rates` and H constant and Hermitian.  Each stored
-    sample is the action of exp(L gap) on the one before it
-    (:func:`_lindblad_action`), from rho0's Hermitian part.  Stored states
-    are symmetrized; trace drift beyond 1e-8 or an eigenvalue below -1e-7
-    aborts.
+    :meth:`DecoherenceSpec.rates` and H constant and Hermitian.  The state
+    is returned at every grid point, each the action of exp(L step) on the
+    one before it (:func:`_lindblad_action`), from rho0's Hermitian part.
+    Returned states are symmetrized; trace drift beyond 1e-8 or an
+    eigenvalue below -1e-7 aborts.
     """
     rho = np.array(check_density_matrix(rho0), dtype=complex)
     d = rho.shape[0]
@@ -517,15 +498,14 @@ def evolve_lindblad(h, rho0, dec: DecoherenceSpec, grid: TimeGrid) -> Trajectory
     m = (d - 1 - 2 * np.arange(d)) / 2  # m ladder inferred from dimension
     half_rates = 0.5 * dec.rates(m)
 
-    steps = grid.sample_steps
-    gap = steps[1] * grid.step
-    states = np.empty((len(steps), d, d), dtype=complex)
+    n, dt = grid.n_steps, grid.step
+    states = np.empty((n + 1, d, d), dtype=complex)
     states[0] = rho
     x = (rho + rho.conj().T) / 2
-    for k in range(1, len(steps)):
-        x = states[k] = _lindblad_action(h, half_rates, x, gap)
+    for k in range(1, n + 1):
+        x = states[k] = _lindblad_action(h, half_rates, x, dt)
     states[1:] = (states[1:] + states[1:].conj().swapaxes(-1, -2)) / 2
-    times = grid.t_start + steps * grid.step
+    times = grid.t_start + np.arange(n + 1) * dt
     traces = np.trace(states[1:], axis1=1, axis2=2).real
     lows = np.linalg.eigvalsh(states[1:]).min(axis=1)
     bad_trace = ~(np.abs(traces - 1.0) <= TRACE_ABORT_TOL)  # True for NaN

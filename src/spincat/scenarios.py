@@ -651,12 +651,11 @@ def tact_oat_comparison(
     ``n_steps``, ``n_output``, ``operator`` (default "y").  H is constant
     and propagated exactly, so the grid only sets where samples fall.  A
     base step of ``LAB_FRAME_DT`` with a field, which resolves the Larmor
-    precession, else ``t_max / n_steps`` (default 20000 steps), gives a step
-    count; the samples, min(``n_output``, that count) of them (default
-    4000), fall at k t_max / samples, each a whole number of steps no longer
-    than the base step apart.  At the defaults the field case takes 28 000
-    steps, stored every 7th, so its samples are 6.25 ns apart and land on
-    the cat at pi / (2 omega_q).
+    precession, else ``t_max / n_steps`` (default 20000 steps), gives a
+    count of base steps; the grid takes min(``n_output``, that count) steps
+    (default 4000), and the samples are its points k t_max / steps, one
+    exponential apart.  At the defaults the field case's samples are
+    6.25 ns apart and land on the cat at pi / (2 omega_q).
     """
     if eta_list is None:
         eta_list = [0.0, 1.0]
@@ -691,8 +690,7 @@ def _tact_single(
     dt = LAB_FRAME_DT if gamma_b0 > 0 else t_max / _param(cfg, "n_steps", 20000)
     steps = TimeGrid(0.0, t_max, dt=dt).n_steps
     samples = min(_param(cfg, "n_output", 4000), steps)
-    stride = -(-steps // samples)
-    grid = TimeGrid(0.0, t_max, dt=t_max / (samples * stride), output_stride=stride)
+    grid = TimeGrid(0.0, t_max, dt=t_max / samples)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     traj = evolve_unitary(h, psi0, grid)
 

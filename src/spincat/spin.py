@@ -47,7 +47,7 @@ class SpinQuantum:
     twice_i: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_i, (int, np.integer)):
+        if isinstance(self.twice_i, bool) or not isinstance(self.twice_i, (int, np.integer)):
             raise TypeError(f"twice_i must be an integer, got {self.twice_i!r}")
         if self.twice_i < 1:
             raise ValueError(

@@ -91,7 +91,7 @@ def test_criterion_3_multitone_rotation():
     h1 = segment_rotating_hamiltonian(
         sched.segments[0], spin, cfg.fields.gamma_b1, ladder, cfg.fields.drive_axis
     )
-    traj = evolve_unitary(h1, eigenstate(spin, spin.i), TimeGrid(0.0, t_half, dt=t_half / 256))
+    traj = evolve_unitary(h1, eigenstate(spin, spin.i), TimeGrid(0.0, t_half, dt=t_half))
     target = coherent_state(spin, np.pi / 2, 0.0)
     infid_eff = 1 - fidelity(traj.final_state, target)
     eff_ok = infid_eff <= 1e-6 and abs(t_half - 4.375e-3) < 1e-12
@@ -201,7 +201,7 @@ def test_criterion_9_integrator_oracles():
     h_oat = wq * np.asarray(ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     grid = TimeGrid(0.0, np.pi / wq, dt=np.pi / wq / 1000)
-    main = evolve_unitary(h_oat, psi0, grid).final_state
+    main = evolve_unitary(h_oat, psi0, TimeGrid(0.0, grid.t_end, dt=grid.span)).final_state
     oracle = reference_final_state(h_oat, psi0, grid)
     infid = 1 - fidelity(main, oracle)
     worst = max(worst, infid)
@@ -252,7 +252,7 @@ def test_criterion_9_integrator_oracles():
         h_full = static_hamiltonian(FieldSpec(gamma_b0=gb0, gamma_b1=0.0), quad, spin)
         t_end = np.pi / (2 * wq)
         run_grid = TimeGrid(0.0, t_end, dt=dt)
-        main = evolve_unitary(h_full, psi0, run_grid).final_state
+        main = evolve_unitary(h_full, psi0, TimeGrid(0.0, t_end, dt=t_end)).final_state
         oracle = reference_final_state(h_full, psi0, run_grid)
         infid = 1 - fidelity(main, oracle)
         worst = max(worst, infid)

@@ -125,6 +125,27 @@ def test_lab_check_rejects_zero_dt(capsys):
 
 
 @pytest.mark.parametrize(
+    "error, message",
+    [
+        # numpy's _ArrayMemoryError is a MemoryError with this text
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+         "Unable to allocate 7.28 TiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_memory_error_is_a_diagnostic_exit(monkeypatch, capsys, error, message):
+    # an oversized grid or spin fails where numpy allocates; nothing large
+    # is allocated here
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spincat.cli, "husimi_q", exhausted)
+    assert main(["husimi", "--n-theta", "1000000", "--n-phi", "1000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spincat: error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "doc, key",
     [
         ({"fields": {"gamma_b0": 1e6}}, "'fields.gamma_b0'"),
@@ -429,7 +450,7 @@ def test_tact_corner_case_gets_its_own_tables_when_the_config_has_its_angles(tmp
 @pytest.mark.parametrize("twice_i", [7, 25])
 def test_tact_samples_both_eta0_cats_at_the_cat_time(tmp_path, capsys, twice_i):
     # the cat forms at pi / (2 omega_q) = 6.25 us with and without the field;
-    # the field case's grid stores every 7th of 28 000 steps, so it lands
+    # the field case's grid is 4000 steps of 6.25 ns, so a grid point lands
     # there too.  Its peak is 2I within 6.3e-14 (2I = 7) and 1.4e-13
     # (2I = 25) measured
     path = tmp_path / "spin.json"

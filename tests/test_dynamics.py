@@ -44,9 +44,6 @@ def test_time_grid_validation():
         TimeGrid(0.0, 1.0, dt=-1e-3)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 1.0, dt=1e-3)
-    for stride in (0, 2.5, True, "3"):
-        with pytest.raises(ValueError, match="output_stride must be None or an integer >= 1"):
-            TimeGrid(0.0, 1.0, dt=1e-3, output_stride=stride)
     for field, kwargs in (
         ("dt", dict(dt=np.nan)),
         ("dt", dict(dt=np.inf)),
@@ -58,12 +55,6 @@ def test_time_grid_validation():
     grid = TimeGrid(0.0, 1.0, dt=0.3)
     assert grid.n_steps == 4
     assert grid.step == pytest.approx(0.25)
-    assert grid.sample_steps.tolist() == [0, 4]
-    # a stride rounds the step count up to a multiple of it: 12 steps, not 10
-    strided = TimeGrid(0.0, 1.0, dt=0.1, output_stride=4)
-    assert strided.sample_steps.tolist() == [0, 4, 8, 12]
-    assert strided.step <= strided.dt
-    assert TimeGrid(0.0, 1.0, dt=0.1, output_stride=1).sample_steps.tolist() == list(range(11))
 
 
 def test_propagator_identity_and_diagonal():
@@ -139,7 +130,7 @@ def test_propagator_matches_mpmath_expm():
 def test_free_particle_is_static():
     spin = SpinQuantum(5)
     psi0 = coherent_state(spin, 1.0, 0.5)
-    traj = evolve_unitary(np.zeros((6, 6)), psi0, TimeGrid(0.0, 1e-3, dt=1e-5))
+    traj = evolve_unitary(np.zeros((6, 6)), psi0, TimeGrid(0.0, 1e-3, dt=1e-3))
     assert_allclose(traj.final_state, psi0, atol=1e-12)
 
 
@@ -148,7 +139,7 @@ def test_larmor_precession_half_turn():
     ops = spin_operators(spin)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     t = np.pi / GB0
-    traj = evolve_unitary(GB0 * np.asarray(ops.Iz), psi0, TimeGrid(0.0, t, dt=t / 400))
+    traj = evolve_unitary(GB0 * np.asarray(ops.Iz), psi0, TimeGrid(0.0, t, dt=t))
     target = coherent_state(spin, np.pi / 2, np.pi)
     assert fidelity(traj.final_state, target) > 1 - 1e-9
 
@@ -159,7 +150,7 @@ def test_twisting_forms_maximal_cat():
     h = WQ * np.asarray(ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     t = np.pi / (2 * WQ)
-    traj = evolve_unitary(h, psi0, TimeGrid(0.0, t, dt=t / 500))
+    traj = evolve_unitary(h, psi0, TimeGrid(0.0, t, dt=t))
     psi = traj.final_state
     var = np.vdot(psi, ops.Iy @ ops.Iy @ psi).real - np.vdot(psi, ops.Iy @ psi).real ** 2
     assert 2 * var / spin.i == pytest.approx(2 * spin.i, rel=1e-9)
@@ -170,7 +161,7 @@ def test_unitary_norm_preservation_long_run():
     h = random_hermitian(6, rng)
     psi0 = np.zeros(6, dtype=complex)
     psi0[0] = 1.0
-    traj = evolve_unitary(h, psi0, TimeGrid(0.0, 10.0, dt=1e-3, output_stride=1000))
+    traj = evolve_unitary(h, psi0, TimeGrid(0.0, 10.0, dt=1.0))
     norms = [abs(np.linalg.norm(s) - 1.0) for s in traj.states]
     assert max(norms) < 1e-9
 
@@ -385,13 +376,6 @@ def test_drive_samples_match_per_step_expm_at_every_stride(stride):
             assert np.linalg.norm(state - psis[k1]) <= 1e-12
 
 
-def test_drive_run_refuses_an_output_stride():
-    spin, drive, t_half = lab_check_drive()
-    grid = TimeGrid(0.0, t_half, dt=1e-9, output_stride=1000)
-    with pytest.raises(ValueError, match="output_stride must be None, got 1000"):
-        evolve_unitary(drive, eigenstate(spin, spin.i), grid)
-
-
 def test_drive_stepping_peak_memory_stays_below_two_chunks_of_maps():
     # a chunk's stack of 256 pair maps takes CHUNK_BYTES and its first
     # product level half that, and the pulse's phasor table 0.22: 1.91
@@ -505,7 +489,7 @@ def test_lindblad_closed_system_matches_unitary():
     h = random_hermitian(6, rng) * 1e4
     psi0 = coherent_state(spin, 0.7, 0.3)
     rho0 = np.outer(psi0, psi0.conj())
-    grid = TimeGrid(0.0, 1e-4, dt=1e-7)
+    grid = TimeGrid(0.0, 1e-4, dt=1e-4)
     rho = evolve_lindblad(h, rho0, DecoherenceSpec(), grid).final_state
     psi = evolve_unitary(h, psi0, grid).final_state
     diff = rho - np.outer(psi, psi.conj())
@@ -636,71 +620,75 @@ def test_lindblad_requires_a_hermitian_hamiltonian():
         evolve_lindblad(h, rho0, DecoherenceSpec(), grid)
 
 
-def test_exact_sampling_rounds_to_the_stride_and_matches_repeated_one_step_propagators():
-    # a span of 1003 steps of dt at stride 10 becomes 1010 shorter steps, so
-    # the 101 samples are equally spaced and the last is at the span's end
+def test_constant_generators_return_every_grid_point_and_a_drive_its_ends():
+    # a span of 1003 dt at a step of at most 10 dt is 101 equal steps of
+    # 1003 dt / 101; both constant-generator evolvers return the state at
+    # each of the 102 grid points t_start + k step
     spin = SpinQuantum(3)
     rng = np.random.default_rng(5)
     h = random_hermitian(4, rng) * 1e4
     dec = DecoherenceSpec(gamma_m=300.0, gamma_e=40.0)
     psi0 = coherent_state(spin, 0.7, 0.3)
     rho0 = np.outer(psi0, psi0.conj())
-    dt = 1e-6
-    grid = TimeGrid(0.0, 1003 * dt, dt=dt, output_stride=10)
-    assert grid.n_steps == 1010
-    assert grid.step <= dt
-    stored = list(range(0, 1011, 10))
+    dt, t_start = 1e-6, 2e-6
+    grid = TimeGrid(t_start, t_start + 1003 * dt, dt=10 * dt)
+    assert grid.n_steps == 101
+    assert grid.step <= grid.dt
     # one-step maps built independently of the evolvers
     u1 = scipy.linalg.expm(-1j * h * grid.step)
     psi, rho = psi0.astype(complex), rho0
     psis, rhos = [psi], [rho0]
-    for k in range(1, grid.n_steps + 1):
+    for _ in range(grid.n_steps):
         psi, rho = u1 @ psi, reference_lindblad_step(h, rho, dec, grid.step)
-        if k in stored:
-            psis.append(psi)
-            rhos.append(rho)
+        psis.append(psi)
+        rhos.append(rho)
 
     unitary = evolve_unitary(h, psi0, grid)
     lindblad = evolve_lindblad(h, rho0, dec, grid)
-    expected_times = [grid.t_start + k * grid.step for k in stored]
+    expected_times = [t_start + k * grid.step for k in range(grid.n_steps + 1)]
     for traj, ref in ((unitary, psis), (lindblad, rhos)):
         assert traj.times.tolist() == expected_times
-        assert len(traj.states) == len(stored)
+        assert len(traj.states) == grid.n_steps + 1
         for state, oracle in zip(traj.states, ref):
             assert np.max(np.abs(state - oracle)) <= 1e-12
 
-    # the default grid stores the initial and the final state only
-    final_only = TimeGrid(0.0, 1003 * dt, dt=dt)
+    # a one-step grid returns the initial and the final state only
+    final_only = TimeGrid(t_start, grid.t_end, dt=grid.span)
     for traj, ref in (
         (evolve_unitary(h, psi0, final_only), psis),
         (evolve_lindblad(h, rho0, dec, final_only), rhos),
     ):
-        assert traj.times.tolist() == [0.0, expected_times[-1]]
+        assert traj.times.tolist() == [t_start, t_start + final_only.span]
         assert len(traj.states) == 2
         assert np.max(np.abs(traj.final_state - ref[-1])) <= 1e-12
 
+    # a drive run returns its first and last states, whatever its step count
+    pulse = PulseSegment((ToneSpec(1e4, 1.0),), t_start, grid.t_end)
+    drive = Drive(h, 1e4 * np.asarray(spin_operators(spin).Ix), pulse)
+    traj = evolve_unitary(drive, psi0, grid)
+    assert traj.times.tolist() == [t_start, expected_times[-1]]
+    assert len(traj.states) == 2
+
 
 def test_exact_sampling_by_doubling_matches_sequential_application():
-    # tact's field grid at 2I = 25: 28 000 steps stored every 7th, one run
-    # of 4000 equal gaps, doubled up to U^2048.  Against one matrix-vector
-    # product per sample with the same expm'd map the doubled powers differ
-    # by rounding only, 4.2e-14 measured
-    size, n_steps, stride = 26, 28000, 7
+    # tact's field grid at 2I = 25: one run of 4000 equal steps of 6.25 ns,
+    # doubled up to U^2048.  Against one matrix-vector product per sample
+    # with the same expm'd map the doubled powers differ by rounding only,
+    # 4.2e-14 measured
+    size, n_steps = 26, 4000
     rng = np.random.default_rng(6)
     g = -1j * random_hermitian(size, rng) * 1e7
     x0 = rng.normal(size=size) + 1j * rng.normal(size=size)
     x0 /= np.linalg.norm(x0)
-    grid = TimeGrid(0.0, 25e-6, dt=25e-6 / n_steps, output_stride=stride)
+    grid = TimeGrid(0.0, 25e-6, dt=25e-6 / n_steps)
     assert grid.n_steps == n_steps
-    steps = grid.sample_steps
-    assert len(steps) == 4001
-    gap = g * (stride * grid.step)
-    xs = _sample_exact(gap, x0, len(steps))
-    u = scipy.linalg.expm(gap)
+    step = g * grid.step
+    xs = _sample_exact(step, x0, n_steps + 1)
+    u = scipy.linalg.expm(step)
     expected = [x0]
-    for _ in steps[1:]:
+    for _ in range(n_steps):
         expected.append(u @ expected[-1])
-    assert xs.shape == (len(steps), size)
+    assert xs.shape == (n_steps + 1, size)
     assert np.max(np.abs(xs - np.array(expected))) <= 2e-13
 
 
@@ -708,7 +696,7 @@ def test_evolvers_name_the_first_sample_that_breaks_a_conservation_law(monkeypat
     import spincat.dynamics as dynamics
 
     spin = SpinQuantum(3)
-    grid = TimeGrid(0.0, 6e-6, dt=1e-6, output_stride=1)
+    grid = TimeGrid(0.0, 6e-6, dt=1e-6)
     psi0 = eigenstate(spin, 1.5)
     rho0 = np.outer(psi0, psi0.conj())
     scale = np.ones(7)
@@ -717,7 +705,7 @@ def test_evolvers_name_the_first_sample_that_breaks_a_conservation_law(monkeypat
     with pytest.raises(IntegrationError, match=re.escape(f"norm drifted to 1.1 at t = {3e-6}")):
         evolve_unitary(np.zeros((4, 4)), psi0, grid)
 
-    # the Lindblad evolver takes one action per stored sample, 1 ... 6
+    # the Lindblad evolver takes one action per grid point, 1 ... 6
     def actions(sample):
         calls = iter(range(1, 7))
         return lambda h, half_rates, rho, t: sample(next(calls))
@@ -745,7 +733,7 @@ def test_lindblad_elementwise_dephasing_oracle():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     gm, ge, t = 300.0, 40.0, 1e-3
-    grid = TimeGrid(0.0, t, dt=1e-6)
+    grid = TimeGrid(0.0, t, dt=t)
     rho = evolve_lindblad(
         np.zeros((6, 6)), rho0, DecoherenceSpec(gamma_m=gm, gamma_e=ge), grid
     ).final_state
@@ -760,7 +748,7 @@ def test_lindblad_cat_dephasing_and_populations():
     cat = (up + down) / np.sqrt(2)
     rho0 = np.outer(cat, cat.conj())
     gm, t = 1000.0, 1e-4
-    grid = TimeGrid(0.0, t, dt=5e-7)
+    grid = TimeGrid(0.0, t, dt=t)
     rho = evolve_lindblad(np.zeros((8, 8)), rho0, DecoherenceSpec(gamma_m=gm), grid).final_state
     expected = 0.5 * np.exp(-gm * 7 ** 2 * t / 2)
     assert abs(rho[0, 7]) == pytest.approx(expected, rel=1e-7)
@@ -774,8 +762,9 @@ def test_lindblad_paper_rates_conservations():
     h = WQ * np.asarray(ops.Iz @ ops.Iz)
     psi0 = coherent_state(spin, np.pi / 2, 0.0)
     rho0 = np.outer(psi0, psi0.conj())
-    # 21 stored samples, 2.5 us apart, each checked in-run as well
-    grid = TimeGrid(0.0, 50e-6, dt=5e-9, output_stride=500)
+    # 21 states, 2.5 us apart, each checked in-run as well
+    grid = TimeGrid(0.0, 50e-6, dt=2.5e-6)
+    assert grid.n_steps == 20
     traj = evolve_lindblad(h, rho0, DecoherenceSpec(gamma_m=10.0, gamma_e=0.1), grid)
     for rho in traj.states:
         assert abs(np.trace(rho).real - 1.0) < 1e-8

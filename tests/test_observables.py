@@ -361,7 +361,7 @@ def test_cat_coherence_dephasing_decay():
     spin = SpinQuantum(5)
     rho0 = np.outer(zcat(spin), zcat(spin).conj())
     gm, t = 1000.0, 5e-4
-    grid = TimeGrid(0.0, t, dt=5e-7)
+    grid = TimeGrid(0.0, t, dt=t)
     rho = evolve_lindblad(np.zeros((6, 6)), rho0, DecoherenceSpec(gamma_m=gm), grid).final_state
     expected = 0.5 * np.exp(-gm * 5 ** 2 * t / 2)
     assert cat_coherence(rho, spin) == pytest.approx(expected, rel=1e-6)

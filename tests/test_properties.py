@@ -122,7 +122,7 @@ def test_rotation_operator_is_unitary(twice_i, axis, angle):
 def _lindblad_cases(draw):
     """A spin with 2I <= 5, a random Hermitian H (entries up to 1e4 rad/s),
     rates up to 1e4 per s, a random density matrix of rank 1-d and a span
-    of up to 1 ms sampled at 1-5 stored states."""
+    of up to 1 ms cut into 1-5 steps."""
     spin = SpinQuantum(draw(st.integers(1, 5)))
     d = spin.dimension
     g = draw(arrays(float, (d, d), elements=_UNIT)) + 1j * draw(arrays(float, (d, d), elements=_UNIT))
@@ -136,7 +136,7 @@ def _lindblad_cases(draw):
     assume(trace > 1e-3)
     t_end = draw(st.floats(1e-6, 1e-3))
     n = draw(st.integers(1, 5))
-    return h, rho / trace, rates, TimeGrid(0.0, t_end, dt=t_end / n, output_stride=1)
+    return h, rho / trace, rates, TimeGrid(0.0, t_end, dt=t_end / n)
 
 
 @given(_lindblad_cases())

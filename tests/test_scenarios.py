@@ -102,7 +102,7 @@ def test_oat_closed_form_matches_stepped_evolution(twice_i):
     omega = effective_oat_strength(cfg.quad, spin)
     t_max = np.pi / abs(omega)
     iz = spin_operators(spin).Iz
-    grid = TimeGrid(0.0, t_max, dt=t_max / 400, output_stride=1)
+    grid = TimeGrid(0.0, t_max, dt=t_max / 400)
     stepped = evolve_unitary(omega * iz @ iz, coherent_state(spin, np.pi / 2, 0.0), grid)
     times = np.linspace(0.0, t_max, 401)
     closed = _twisted(coherent_state(spin, np.pi / 2, 0.0), omega, times, spin)
@@ -220,11 +220,11 @@ def test_decoherence_matches_dense_lindblad_gap():
     psi0 = eigenstate(spin, spin.i)
     rho1 = evolve_lindblad(
         _first_pulse_hamiltonian(cfg), np.outer(psi0, psi0.conj()), dec,
-        TimeGrid(0.0, t_half, dt=1e-6),
+        TimeGrid(0.0, t_half, dt=t_half),
     ).final_state
-    # the dense Liouvillian gap, stored on the sweep's 8 us sampling
+    # the dense Liouvillian gap, on the sweep's 8 us sampling
     gap = evolve_lindblad(
-        np.zeros((4, 4)), rho1, dec, TimeGrid(0.0, 400e-6, dt=2e-6, output_stride=4)
+        np.zeros((4, 4)), rho1, dec, TimeGrid(0.0, 400e-6, dt=8e-6)
     )
     iz = spin_operators(spin).Iz
     pulses = _per_sample_second_pulses(cfg, gap.times, cfg.fields.gamma_b0)
@@ -577,8 +577,8 @@ def test_tact_aligned_oat_cat():
 def test_tact_corotating_frame_removes_larmor_precession():
     # aligned symmetric EFG: H = gamma*B0 Iz + f(Iz) is diagonal, so in the
     # frame co-rotating at gamma*B0 the state is the field-free one
-    # 3000 steps of 1 ns with and without the field, every step stored: the
-    # 3001 states are corotated and measured in two CHUNK_BYTES slices
+    # 3000 steps of 1 ns with and without the field: the 3001 states are
+    # corotated and measured in two CHUNK_BYTES slices
     cfg = paper_config(params={"t_max": 3e-6, "n_steps": 3000, "n_output": 3000})
     assert CHUNK_BYTES // (16 * cfg.spin.dimension) < 3001
     free, field = tact_oat_comparison(cfg, eta_list=[0.0], b0_list=[0.0, cfg.fields.gamma_b0])
@@ -597,7 +597,7 @@ def test_tact_corotating_frame_removes_larmor_precession():
 
 def test_tact_grid_keeps_the_step_count_of_a_short_run(monkeypatch):
     # t_max 1e-7 and n_steps 10: 10 steps of 10 ns without a field, 100 of
-    # 1 ns with one, each stored (fewer than n_output samples)
+    # 1 ns with one, one sample each (fewer than n_output samples)
     import spincat.scenarios
 
     grids = []
@@ -611,7 +611,6 @@ def test_tact_grid_keeps_the_step_count_of_a_short_run(monkeypatch):
     cfg = paper_config(params={"t_max": 1e-7, "n_steps": 10})
     free, field = tact_oat_comparison(cfg, eta_list=[0.0])
     assert [g.n_steps for g in grids] == [10, 100]
-    assert [g.output_stride for g in grids] == [1, 1]
     for res, n in ((free, 11), (field, 101)):
         assert len(res.series.times) == n
         assert res.series.times[-1] == pytest.approx(1e-7, rel=1e-12)

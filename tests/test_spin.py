@@ -32,6 +32,10 @@ def test_spin_quantum_rejects_spin_zero():
         SpinQuantum(0)
     with pytest.raises(TypeError):
         SpinQuantum(1.5)
+    # a bool is not a count, as configs have it
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(TypeError, match="twice_i must be an integer"):
+            SpinQuantum(flag)
 
 
 def test_index_of_m_and_parity_errors():
